@@ -54,11 +54,6 @@ class VerseResult:
     epochs: int
 
 
-def _ppr_walk_length(alpha: float, rng: np.random.Generator) -> int:
-    """Geometric walk length with continuation probability ``alpha``."""
-    return 1 + int(rng.geometric(1.0 - alpha))
-
-
 def verse_embed(graph: CSRGraph, config: VerseConfig | None = None) -> VerseResult:
     """Train a VERSE embedding of ``graph``."""
     cfg = config or VerseConfig()

@@ -222,28 +222,6 @@ class FaultRegistry:
                 "armed": {p: a.remaining for p, a in self._armed.items()},
             }
 
-    def metric_samples(self) -> "list[object]":
-        """The snapshot as ``repro_fault_*`` Prometheus samples.
-
-        Lazy import keeps :mod:`repro.faults` dependency-free for the many
-        subsystems that import ``FAULTS`` at module scope.
-        """
-        from ..obs.metrics import counter_sample, gauge_sample
-
-        snap = self.snapshot()
-        samples: list[object] = []
-        for point, n in sorted(snap["crossings"].items()):
-            samples.append(counter_sample(
-                "repro_fault_crossings_total",
-                "lifetime crossings of each fault-injection point",
-                float(n), {"point": point}))
-        for point, remaining in sorted(snap["armed"].items()):
-            samples.append(gauge_sample(
-                "repro_fault_armed",
-                "crossings remaining before an armed point fires",
-                float(remaining), {"point": point}))
-        return samples
-
 
 def parse_fault_spec(spec: str) -> tuple[str, int]:
     """Parse a ``point[:n]`` CLI spec into ``(point, at)``; ``n`` defaults to 1."""

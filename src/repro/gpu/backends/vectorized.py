@@ -90,18 +90,6 @@ def plan_scatter(idx: np.ndarray) -> ScatterPlan:
     return ScatterPlan(order=order, starts=starts, heads=sorted_idx[starts])
 
 
-def _segment_scatter_add(target: np.ndarray, idx: np.ndarray,
-                         updates: np.ndarray) -> None:
-    """Deterministic ``target[idx] += updates`` with duplicate accumulation.
-
-    Sorts the indices (stable) and reduces each duplicate segment with
-    ``np.add.reduceat`` before a single conflict-free scatter, replacing
-    ``np.add.at`` at a fraction of its cost.  The fixed summation order makes
-    the result deterministic run-to-run.
-    """
-    plan_scatter(idx).apply(target, updates)
-
-
 @dataclass(frozen=True)
 class PairPlan:
     """Device-ready preparation of one pair-kernel launch.

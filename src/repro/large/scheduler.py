@@ -95,8 +95,8 @@ class LargeGraphStats:
     pool_stall_seconds: float = 0.0   # kernel time lost waiting on pools
     pool_produce_seconds: float = 0.0  # build + prepare time (producer side)
     max_ready_pools: int = 0           # peak ready-queue depth observed
-    timeline: StreamTimeline = field(default_factory=StreamTimeline)
-    pipeline: PipelineStats | None = None  # per-pool produce/consume events
+    timeline: StreamTimeline = field(default_factory=StreamTimeline, repr=False)
+    pipeline: PipelineStats | None = field(default=None, repr=False)  # per-pool produce/consume events
     start_rotation: int = 0            # first rotation executed (resume cursor)
     oom_retries: int = 0               # attempts lost to DeviceMemoryError
     # One record per degradation step: the error, the halved footprint the

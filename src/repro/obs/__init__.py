@@ -1,11 +1,11 @@
-"""First-class observability: metrics registry, tracing, exposition.
+"""First-class observability: metrics, tracing, exposition.
 
 ``repro.obs`` is the layer every subsystem reports through:
 
-* :mod:`repro.obs.metrics` — thread-safe ``Counter``/``Gauge``/``Histogram``
-  families with label sets behind a :class:`~repro.obs.metrics.MetricsRegistry`
-  (process-default :data:`~repro.obs.metrics.REGISTRY` + injectable
-  instances), rendered stdlib-only in Prometheus text format.
+* :mod:`repro.obs.metrics` — the serving tier's live instruments
+  (:class:`~repro.obs.metrics.LatencyHistogram`,
+  :class:`~repro.obs.metrics.StateClock`) and the stdlib-only Prometheus
+  text renderer over read-only :class:`~repro.obs.metrics.Sample` rows.
 * :mod:`repro.obs.trace` — low-overhead spans with cross-process trace-id
   propagation over the serve wire protocol, exported as Chrome trace-event
   JSON for Perfetto (``embed --trace``, ``serve/route --trace-dir``).
@@ -20,29 +20,20 @@ tracing workflow.
 from . import trace
 from .export import (
     METRICS_CONTENT_TYPE,
-    registry_from_stats,
     render_stats_metrics,
     samples_from_stats,
 )
 from .metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     Sample,
     counter_sample,
     gauge_sample,
-    get_registry,
     histogram_sample,
     render_samples,
 )
 
 __all__ = [
     "trace",
-    "REGISTRY", "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "Sample", "counter_sample", "gauge_sample", "histogram_sample",
-    "render_samples", "get_registry",
-    "METRICS_CONTENT_TYPE", "samples_from_stats", "registry_from_stats",
-    "render_stats_metrics",
+    "render_samples",
+    "METRICS_CONTENT_TYPE", "samples_from_stats", "render_stats_metrics",
 ]

@@ -8,8 +8,8 @@ is a **pure function over those snapshots**.  That buys two things:
   the ``metrics`` NDJSON verb, and ``repro-gosh stats --metrics`` all call
   :func:`render_stats_metrics` on whatever ``QueryServer.stats()`` (or a
   remote server's stats reply) returned.
-* Nothing registers live objects into a process-global registry, so tests
-  that spawn many servers in one process never collide on series names.
+* There is no process-global registry of live objects, so tests that
+  spawn many servers in one process never collide on series names.
 
 Naming follows the taxonomy in the README's "Observability" section:
 every series is ``repro_``-prefixed; the subsystem is the second path
@@ -19,17 +19,20 @@ component (``repro_server_…``, ``repro_router_…``, ``repro_service_…``,
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
+
+import numpy as np
 
 from .metrics import (
-    MetricsRegistry,
+    LatencyHistogram,
     Sample,
     counter_sample,
     gauge_sample,
+    histogram_sample,
     render_samples,
 )
 
-__all__ = ["samples_from_stats", "registry_from_stats", "render_stats_metrics"]
+__all__ = ["samples_from_stats", "render_stats_metrics"]
 
 #: Prometheus content type for the classic text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -145,12 +148,19 @@ def _server_samples(server: Mapping[str, Any]) -> "list[Sample]":
     return samples
 
 
-def _latency_samples(latency: Mapping[str, Any]) -> "list[Sample]":
-    # Imported lazily: repro.serve pulls in repro.api, which (through the
-    # embedding pipeline's trace hooks) imports repro.obs — a module-level
-    # import here would close that cycle during package init.
-    from ..serve.metrics import LatencyHistogram
+def _histogram_sample(hist: LatencyHistogram, name: str, help_text: str,
+                      labels: Mapping[str, Any]) -> Sample:
+    """``hist`` with its bucket layout preserved (finite upper edges,
+    cumulative counts), so a scrape sees the very resolution the ``stats``
+    verb summarises; the overflow bucket is the implied ``+Inf``."""
+    cum = np.cumsum(hist.counts[:-1])
+    return histogram_sample(
+        name, help_text,
+        buckets=[(float(e), int(c)) for e, c in zip(hist.edges, cum)],
+        sum_value=hist.total, count=hist.count, labels=labels)
 
+
+def _latency_samples(latency: Mapping[str, Any]) -> "list[Sample]":
     histograms = latency.get("histograms")
     if not isinstance(histograms, Mapping):
         return []
@@ -160,8 +170,8 @@ def _latency_samples(latency: Mapping[str, Any]) -> "list[Sample]":
             hist = LatencyHistogram.from_dict(payload)
         except (ValueError, KeyError, TypeError):
             continue
-        samples.append(hist.metric_sample(
-            "repro_server_latency_seconds",
+        samples.append(_histogram_sample(
+            hist, "repro_server_latency_seconds",
             "request latency by stage (queue_wait/service/total)",
             {"stage": str(stage)}))
     return samples
@@ -184,9 +194,20 @@ def _http_samples(http: Mapping[str, Any]) -> "list[Sample]":
     return samples
 
 
-def _router_samples(service: Mapping[str, Any]) -> "list[Sample]":
-    from ..serve.metrics import StateClock  # lazy: see _latency_samples
+def _dwell_samples(summary: Mapping[str, Any], name: str, help_text: str,
+                   labels: Mapping[str, Any]) -> "list[Sample]":
+    """A ``StateClock.summary()`` dict as one seconds-counter per state."""
+    seconds = summary.get("seconds")
+    if not isinstance(seconds, dict):
+        return []
+    return [
+        counter_sample(name, help_text, float(secs),
+                       {**labels, "state": str(state)})
+        for state, secs in sorted(seconds.items())
+    ]
 
+
+def _router_samples(service: Mapping[str, Any]) -> "list[Sample]":
     router = service.get("router")
     if not isinstance(router, Mapping):
         return []
@@ -229,7 +250,7 @@ def _router_samples(service: Mapping[str, Any]) -> "list[Sample]":
                         f"repro_router_replica_{suffix}", help_text, v, labels))
             dwell = row.get("dwell")
             if isinstance(dwell, Mapping):
-                samples.extend(StateClock.summary_samples(
+                samples.extend(_dwell_samples(
                     dwell, "repro_router_replica_state_seconds_total",
                     "seconds the replica spent in each health state", labels))
     fleet = service.get("fleet_latency")
@@ -335,19 +356,6 @@ def _fault_samples(snapshot: Mapping[str, Any]) -> "list[Sample]":
     return samples
 
 
-def registry_from_stats(stats: Mapping[str, Any], *,
-                        extra_samples: Iterable[Sample] = (),
-                        ) -> MetricsRegistry:
-    """A registry whose only collector adapts ``stats`` — the injectable-
-    instance form, for callers composing scrapes programmatically."""
-    registry = MetricsRegistry()
-    extras = list(extra_samples)
-    registry.register_collector(
-        lambda: samples_from_stats(stats) + extras)
-    return registry
-
-
-def render_stats_metrics(stats: Mapping[str, Any], *,
-                         extra_samples: Iterable[Sample] = ()) -> str:
-    """Prometheus text for one stats snapshot (+ optional extra samples)."""
-    return render_samples(samples_from_stats(stats) + list(extra_samples))
+def render_stats_metrics(stats: Mapping[str, Any]) -> str:
+    """Prometheus text for one stats snapshot."""
+    return render_samples(samples_from_stats(stats))

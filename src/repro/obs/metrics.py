@@ -1,77 +1,50 @@
-"""Unified metrics core: thread-safe instruments behind a registry.
+"""Metrics core: the serving histograms and the Prometheus exposition.
 
-Every subsystem of this reproduction historically invented its own
-observability — nine ad-hoc ``stats()`` dicts, two bespoke metric classes,
-and counters scattered across server/router/service/store/pool/engine
-objects.  This module is the common substrate those surfaces now report
-through:
+The live numbers of this reproduction sit in the ``stats()`` dicts each
+subsystem already keeps (server admission, router health, service, store
+and engine caches, fault crossings).  This module holds the two pieces
+those snapshots and their exposition share:
 
-* **Instruments** — :class:`Counter` (monotonic), :class:`Gauge`
-  (set/inc/dec), and :class:`Histogram` (fixed upper-bound buckets) — are
-  *families*: declaring ``labelnames`` and calling :meth:`labels` yields
-  one child per distinct label set, with **identity semantics** (the same
-  label values always return the very same child object, regardless of
-  keyword order).  Every mutation is lock-protected, so totals are exact
-  under concurrent writers.
-* **A registry** (:class:`MetricsRegistry`) owns families by name —
-  re-requesting a name returns the existing family, requesting it as a
-  different type raises — plus *collectors*: zero-argument callables
-  invoked at scrape time that yield read-only :class:`Sample` rows.
-  Collectors are how the pre-existing counters (``QueryServer`` admission,
-  shard health dwell, service/store/engine caches, fault crossings) are
-  re-pointed at the registry **without changing a single ``stats()`` dict
-  shape**: the live snapshot each subsystem already produces is adapted
-  into samples on demand (see :mod:`repro.obs.export`).
-* **Prometheus text exposition** — :meth:`MetricsRegistry.render` emits
-  the classic ``# HELP``/``# TYPE`` text format, stdlib-only.  All series
-  in this codebase use the ``repro_`` prefix; see the README's
-  "Observability" taxonomy table.
-
-The process-default registry is :data:`REGISTRY`; everything also works
-against an injected instance (and an injected ``clock``) for deterministic
-tests.
+* **Live instruments for the serving tier** — :class:`LatencyHistogram`, a
+  bounded log-bucketed latency summary that round-trips over the stats wire
+  and merges across shards, and :class:`StateClock`, the seconds-per-state
+  clock behind the router's replica-health dwell.
+* **Prometheus text exposition** — read-only :class:`Sample` rows built by
+  :func:`counter_sample` / :func:`gauge_sample` / :func:`histogram_sample`
+  and rendered stdlib-only by :func:`render_samples` in the classic
+  ``# HELP``/``# TYPE`` text format.  :mod:`repro.obs.export` adapts the
+  ``stats()`` snapshots into samples; every series uses the ``repro_``
+  prefix (see the README's "Observability" taxonomy table).
 """
 
 from __future__ import annotations
 
+import math
 import re
-import threading
-from bisect import bisect_left
 from time import monotonic
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-    "get_registry", "Sample", "counter_sample", "gauge_sample",
-    "histogram_sample", "render_samples",
+    "LatencyHistogram", "StateClock", "Sample", "counter_sample",
+    "gauge_sample", "histogram_sample", "render_samples",
 ]
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default histogram upper bounds (seconds-flavoured, Prometheus classic).
-DEFAULT_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
 
 LabelPairs = "tuple[tuple[str, str], ...]"
+
+#: Dict round-trip format tag (bumped if the bucket layout ever changes).
+_HIST_FORMAT = "latency-histogram/1"
+#: Most buckets a wire payload may ask for (the default layout has ~82).
+_MAX_WIRE_BUCKETS = 4096
 
 
 def _check_metric_name(name: str) -> str:
     if not _METRIC_NAME_RE.match(name):
         raise ValueError(f"invalid metric name {name!r}")
     return name
-
-
-def _check_label_names(labelnames: Sequence[str]) -> tuple[str, ...]:
-    names = tuple(labelnames)
-    for n in names:
-        if not _LABEL_NAME_RE.match(n):
-            raise ValueError(f"invalid label name {n!r}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate label names in {names!r}")
-    return names
 
 
 def _normalize_labels(labels: "Mapping[str, Any] | Iterable[tuple[str, Any]]",
@@ -106,8 +79,8 @@ def _format_value(value: float) -> str:
 class Sample:
     """One read-only exposition row (or histogram row-group).
 
-    Instruments produce these at collect time, and snapshot collectors
-    produce them directly from existing ``stats()`` dicts.  ``kind`` is
+    The snapshot adapters in :mod:`repro.obs.export` produce these from the
+    existing ``stats()`` dicts.  ``kind`` is
     ``"counter"``/``"gauge"`` with a scalar ``value``, or ``"histogram"``
     with ``buckets`` (finite upper edge → **cumulative** count), ``sum``
     and ``count``.
@@ -155,299 +128,6 @@ def histogram_sample(name: str, help_text: str, *,
                   buckets=buckets, sum_value=float(sum_value), count=int(count))
 
 
-# --------------------------------------------------------------------------- #
-# Instrument children
-# --------------------------------------------------------------------------- #
-class _CounterChild:
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class _GaugeChild:
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class _HistogramChild:
-    __slots__ = ("_lock", "_edges", "_counts", "_sum", "_count")
-
-    def __init__(self, edges: tuple[float, ...]) -> None:
-        self._lock = threading.Lock()
-        self._edges = edges
-        self._counts = [0] * (len(edges) + 1)    # +1: the +Inf bucket
-        self._sum = 0.0
-        self._count = 0
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        i = bisect_left(self._edges, v)
-        with self._lock:
-            self._counts[i] += 1
-            self._sum += v
-            self._count += 1
-
-    def snapshot(self) -> "tuple[list[tuple[float, int]], float, int]":
-        with self._lock:
-            cum, acc = [], 0
-            for edge, c in zip(self._edges, self._counts):
-                acc += c
-                cum.append((edge, acc))
-            return cum, self._sum, self._count
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-
-# --------------------------------------------------------------------------- #
-# Instrument families
-# --------------------------------------------------------------------------- #
-class _Family:
-    """Shared family machinery: named children with identity semantics."""
-
-    kind = ""
-
-    def __init__(self, name: str, help_text: str,
-                 labelnames: Sequence[str] = ()):
-        self.name = _check_metric_name(name)
-        self.help = help_text
-        self.labelnames = _check_label_names(labelnames)
-        self._lock = threading.Lock()
-        self._children: dict[tuple[str, ...], Any] = {}
-
-    def _make_child(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def labels(self, **labelvalues: Any):
-        """The child for this label set (created once, then always the
-        same object — label identity semantics)."""
-        if set(labelvalues) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name} takes labels {list(self.labelnames)}, "
-                f"got {sorted(labelvalues)}")
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._make_child()
-            return child
-
-    def _default_child(self):
-        if self.labelnames:
-            raise ValueError(
-                f"{self.name} declares labels {list(self.labelnames)}; "
-                f"call .labels(...) first")
-        return self.labels()
-
-    def _child_rows(self) -> "list[tuple[tuple[str, ...], Any]]":
-        with self._lock:
-            return sorted(self._children.items())
-
-    def samples(self) -> list[Sample]:
-        out = []
-        for key, child in self._child_rows():
-            pairs = tuple(zip(self.labelnames, key))
-            out.append(self._sample_of(child, pairs))
-        return out
-
-    def _sample_of(self, child, pairs):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class Counter(_Family):
-    """Monotonically increasing family; ``inc()`` on labelless counters."""
-
-    kind = "counter"
-
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
-    def _sample_of(self, child: _CounterChild, pairs: LabelPairs) -> Sample:
-        return Sample(self.name, self.kind, self.help, pairs,
-                      value=child.value)
-
-
-class Gauge(_Family):
-    """Free-moving family: ``set``/``inc``/``dec``."""
-
-    kind = "gauge"
-
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild()
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
-    def _sample_of(self, child: _GaugeChild, pairs: LabelPairs) -> Sample:
-        return Sample(self.name, self.kind, self.help, pairs,
-                      value=child.value)
-
-
-class Histogram(_Family):
-    """Fixed-bucket histogram family (upper-bound edges, +Inf implied)."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help_text: str,
-                 labelnames: Sequence[str] = (), *,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        edges = tuple(float(b) for b in buckets)
-        if not edges or list(edges) != sorted(set(edges)):
-            raise ValueError("buckets must be a non-empty strictly "
-                             "increasing sequence")
-        self.buckets = edges
-        super().__init__(name, help_text, labelnames)
-
-    def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self.buckets)
-
-    def observe(self, value: float) -> None:
-        self._default_child().observe(value)
-
-    def _sample_of(self, child: _HistogramChild, pairs: LabelPairs) -> Sample:
-        cum, total, count = child.snapshot()
-        return Sample(self.name, self.kind, self.help, pairs,
-                      buckets=cum, sum_value=total, count=count)
-
-
-_FAMILY_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
-# --------------------------------------------------------------------------- #
-# Registry + exposition
-# --------------------------------------------------------------------------- #
-class MetricsRegistry:
-    """Owns instrument families and scrape-time collectors.
-
-    ``clock`` is injectable purely for deterministic tests of
-    time-derived series (it is handed to adapters that need "now", e.g.
-    dwell-time collectors); production uses :func:`time.monotonic`.
-    """
-
-    def __init__(self, *, clock: Callable[[], float] = monotonic):
-        self.clock = clock
-        self._lock = threading.Lock()
-        self._families: dict[str, _Family] = {}
-        self._collectors: list[Callable[[], Iterable[Sample]]] = []
-
-    # -- families ------------------------------------------------------- #
-    def _family(self, cls, name: str, help_text: str,
-                labelnames: Sequence[str], **kwargs):
-        with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, not {cls.kind}")
-                return existing
-            family = cls(name, help_text, labelnames, **kwargs)
-            self._families[name] = family
-            return family
-
-    def counter(self, name: str, help_text: str = "",
-                labelnames: Sequence[str] = ()) -> Counter:
-        return self._family(Counter, name, help_text, labelnames)
-
-    def gauge(self, name: str, help_text: str = "",
-              labelnames: Sequence[str] = ()) -> Gauge:
-        return self._family(Gauge, name, help_text, labelnames)
-
-    def histogram(self, name: str, help_text: str = "",
-                  labelnames: Sequence[str] = (), *,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._family(Histogram, name, help_text, labelnames,
-                            buckets=buckets)
-
-    # -- collectors ----------------------------------------------------- #
-    def register_collector(self, fn: Callable[[], Iterable[Sample]]) -> None:
-        """``fn()`` is called at every scrape and yields :class:`Sample`
-        rows — the snapshot-adapter hook that re-points existing
-        ``stats()`` counters at this registry without reshaping them."""
-        with self._lock:
-            self._collectors.append(fn)
-
-    def unregister_collector(self, fn: Callable[[], Iterable[Sample]]) -> None:
-        with self._lock:
-            try:
-                self._collectors.remove(fn)
-            except ValueError:
-                pass
-
-    # -- exposition ----------------------------------------------------- #
-    def collect(self) -> list[Sample]:
-        with self._lock:
-            families = list(self._families.values())
-            collectors = list(self._collectors)
-        samples: list[Sample] = []
-        for family in families:
-            samples.extend(family.samples())
-        for fn in collectors:
-            samples.extend(fn())
-        return samples
-
-    def render(self) -> str:
-        """The full registry in Prometheus text exposition format."""
-        return render_samples(self.collect())
-
-
 def render_samples(samples: Iterable[Sample]) -> str:
     """Prometheus text format: ``# HELP``/``# TYPE`` once per series name
     (first-seen order), then one line per (labels) child — histograms
@@ -484,9 +164,194 @@ def render_samples(samples: Iterable[Sample]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-#: The process-default registry.
-REGISTRY = MetricsRegistry()
+# --------------------------------------------------------------------------- #
+# Live instruments of the serving tier
+# --------------------------------------------------------------------------- #
+class StateClock:
+    """Track which state a component is in, for how long, and how often.
+
+    The router's shard-health machinery needs more than a current-state
+    enum: recovery time (how long was a shard dead before readmission?) and
+    availability (what share of wall-clock was it healthy?) are the numbers
+    a failure post-mortem actually asks for.  ``StateClock`` accumulates
+    seconds-per-state across transitions with O(states) memory; the clock
+    is injectable so state machines can be unit-tested deterministically.
+    """
+
+    def __init__(self, initial: str, *, clock: Callable[[], float] = monotonic):
+        self._clock = clock
+        self.state = initial
+        self.since = clock()
+        self.transitions = 0
+        self.seconds: dict[str, float] = {initial: 0.0}
+
+    def transition(self, state: str) -> float:
+        """Enter ``state``; returns the seconds spent in the previous one."""
+        now = self._clock()
+        dwell = now - self.since
+        self.seconds[self.state] = self.seconds.get(self.state, 0.0) + dwell
+        self.state = state
+        self.since = now
+        self.transitions += 1
+        return dwell
+
+    def seconds_in(self, state: str) -> float:
+        """Cumulative seconds spent in ``state``, current dwell included."""
+        total = self.seconds.get(state, 0.0)
+        if state == self.state:
+            total += self._clock() - self.since
+        return total
+
+    def summary(self) -> dict[str, object]:
+        return {
+            "state": self.state,
+            "transitions": self.transitions,
+            "in_state_s": round(self._clock() - self.since, 6),
+            "seconds": {name: round(self.seconds_in(name), 6)
+                        for name in self.seconds},
+        }
 
 
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
+class LatencyHistogram:
+    """Log-bucketed histogram of non-negative durations (seconds).
+
+    A server meant to stay up cannot keep a raw sample per request the way
+    a benchmark harness can; it needs a fixed-size summary that still
+    answers p50/p95/p99, mean and max.  Bucket edges are geometric from
+    ``min_s`` to ``max_s`` (default 1 µs → 60 s at 1.25× growth — ~82
+    buckets, <1 kB), ``observe`` is O(1), and percentiles are read off the
+    cumulative counts.
+
+    Quantiles are resolved to a bucket's upper edge, i.e. conservatively
+    rounded *up* by at most the growth factor (25%); the exact observed
+    ``max`` clamps the top so a histogram never reports a percentile beyond
+    what it actually saw.  The load generator, which holds every sample
+    anyway, reports exact percentiles — the histogram is the server-side
+    view.
+    """
+
+    def __init__(self, *, min_s: float = 1e-6, max_s: float = 60.0,
+                 growth: float = 1.25):
+        if not (0 < min_s < max_s):
+            raise ValueError("need 0 < min_s < max_s")
+        if growth <= 1.0:
+            raise ValueError("growth must be > 1")
+        num = int(math.ceil(math.log(max_s / min_s) / math.log(growth)))
+        self.min_s, self.max_s, self.growth = min_s, max_s, growth
+        # Upper edges of the finite buckets; one extra overflow bucket on top.
+        self.edges = min_s * growth ** np.arange(1, num + 1)
+        self.counts = np.zeros(num + 1, dtype=np.int64)
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = 0.0
+
+    def observe(self, seconds: float) -> None:
+        s = max(float(seconds), 0.0)
+        # First bucket whose upper edge covers s; past the last edge this
+        # returns len(edges), the overflow bucket.
+        self.counts[int(np.searchsorted(self.edges, s, side="left"))] += 1
+        self.count += 1
+        self.total += s
+        self.min = min(self.min, s)
+        self.max = max(self.max, s)
+
+    def percentile(self, q: float) -> float:
+        """The q-th percentile (0..100), resolved to a bucket upper edge."""
+        if not 0 <= q <= 100:
+            raise ValueError("percentile must be in [0, 100]")
+        if self.count == 0:
+            return 0.0
+        target = math.ceil(self.count * q / 100.0) or 1
+        bucket = int(np.searchsorted(np.cumsum(self.counts), target, side="left"))
+        upper = self.edges[bucket] if bucket < len(self.edges) else self.max
+        # Never report beyond (or below) what was actually observed.
+        return float(min(max(upper, self.min), self.max))
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    # ------------------------------------------------------------------ #
+    # Aggregation + wire round-trip (fleet-wide percentiles)
+    # ------------------------------------------------------------------ #
+    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
+        """Fold ``other``'s observations into this histogram (in place).
+
+        Bucket layouts must match — merging is element-wise addition of
+        counts, which is exactly why the router can aggregate per-shard
+        histograms into fleet-wide p50/p95/p99 without shipping samples.
+        """
+        if (len(other.edges) != len(self.edges)
+                or not np.allclose(other.edges, self.edges)):
+            raise ValueError(
+                "cannot merge histograms with different bucket layouts "
+                f"({other.min_s}/{other.max_s}/{other.growth} vs "
+                f"{self.min_s}/{self.max_s}/{self.growth})")
+        self.counts += other.counts
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        return self
+
+    def to_dict(self) -> dict[str, object]:
+        """A JSON-safe snapshot that :meth:`from_dict` rebuilds exactly.
+
+        Zero buckets are run-length-elided by storing ``(index, count)``
+        pairs — the common sparse case (a few active buckets out of ~82)
+        stays small on the stats wire.
+        """
+        return {
+            "format": _HIST_FORMAT,
+            "min_s": self.min_s,
+            "max_s": self.max_s,
+            "growth": self.growth,
+            "counts": [[int(i), int(c)] for i, c in enumerate(self.counts) if c],
+            "count": self.count,
+            "total": self.total,
+            "min": None if self.count == 0 else self.min,
+            "max": self.max,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: "dict[str, object]") -> "LatencyHistogram":
+        """Rebuild a :meth:`to_dict` snapshot.
+
+        Payloads may come from another process, so the layout and every
+        bucket entry are checked: a layout of more than
+        ``_MAX_WIRE_BUCKETS`` buckets, an index outside the layout or a
+        negative count raises ``ValueError`` rather than allocating without
+        bound or landing in the wrong bucket.
+        """
+        if payload.get("format") != _HIST_FORMAT:
+            raise ValueError(f"unknown histogram payload {payload.get('format')!r}")
+        min_s, max_s, growth = (float(payload[key])  # type: ignore[arg-type]
+                                for key in ("min_s", "max_s", "growth"))
+        if not (0 < min_s < max_s and growth > 1.0
+                and math.log(max_s / min_s) / math.log(growth) <= _MAX_WIRE_BUCKETS):
+            raise ValueError(f"bad histogram layout {min_s}/{max_s}/{growth}")
+        hist = cls(min_s=min_s, max_s=max_s, growth=growth)
+        for i, c in payload.get("counts", []):     # type: ignore[union-attr]
+            i, c = int(i), int(c)
+            if not 0 <= i < len(hist.counts) or c < 0:
+                raise ValueError(f"bad histogram bucket entry {[i, c]!r}")
+            hist.counts[i] = c
+        hist.count = int(payload.get("count", 0))
+        hist.total = float(payload.get("total", 0.0))
+        raw_min = payload.get("min")
+        hist.min = math.inf if raw_min is None else float(raw_min)
+        hist.max = float(payload.get("max", 0.0))
+        return hist
+
+    def summary(self) -> dict[str, float | int]:
+        """The serving-dashboard view, in milliseconds."""
+        ms = 1e3
+        return {
+            "count": self.count,
+            "mean_ms": round(self.mean * ms, 3),
+            "p50_ms": round(self.percentile(50) * ms, 3),
+            "p95_ms": round(self.percentile(95) * ms, 3),
+            "p99_ms": round(self.percentile(99) * ms, 3),
+            "max_ms": round((self.max if self.count else 0.0) * ms, 3),
+        }

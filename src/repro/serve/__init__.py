@@ -31,9 +31,9 @@ and hung shards fail their batches within a deadline.  The traffic-scale
 measurement side lives in :mod:`repro.loadgen`.
 """
 
+from ..obs.metrics import LatencyHistogram, StateClock
 from .client import ServeClient, parse_address
 from .http import HttpFront
-from .metrics import LatencyHistogram, StateClock
 from .protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,

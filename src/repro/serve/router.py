@@ -62,9 +62,9 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..obs.metrics import LatencyHistogram, StateClock
 from ..query.backends import topk_by_score
 from .client import ServeClient, parse_address
-from .metrics import LatencyHistogram, StateClock
 from .protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
 from .server import QueryServer, ServerThread
 
@@ -696,7 +696,7 @@ class ShardedBackendService:
         for stage, payload in histograms.items():
             try:
                 hist = LatencyHistogram.from_dict(payload)
-            except (ValueError, KeyError, TypeError, IndexError):
+            except (ValueError, KeyError, TypeError):
                 continue
             if stage in fleet:
                 try:

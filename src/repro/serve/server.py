@@ -20,7 +20,7 @@ on a TCP or Unix socket.  The design goals, in order:
 * **Every request is timestamped.**  Monotonic stamps at receive, admission
   into a batch, and answer give each reply a ``queue_wait_s`` / ``service_s``
   / ``total_s`` breakdown, and feed the server's bounded
-  :class:`~repro.serve.metrics.LatencyHistogram`\\ s (surfaced by the
+  :class:`~repro.obs.metrics.LatencyHistogram`\\ s (surfaced by the
   ``stats`` verb alongside the admission counters and the service's own
   snapshot).
 * **Graceful drain.**  :meth:`stop` closes the listener, stops admitting
@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from ..faults import FAULTS
 from ..obs import trace
 from ..obs.export import METRICS_CONTENT_TYPE, render_stats_metrics
-from .metrics import LatencyHistogram
+from ..obs.metrics import LatencyHistogram
 from .protocol import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -534,10 +534,6 @@ class QueryServer:
         service part off-loop with a stale-snapshot fallback.
         """
         return self._assemble_stats(self.service.stats())
-
-    def metrics_text(self) -> str:
-        """The stats snapshot rendered in Prometheus text format."""
-        return render_stats_metrics(self.stats())
 
     async def _answer_observability(self, verb: str, request_id: Any,
                                     future: "asyncio.Future[dict[str, Any]]",

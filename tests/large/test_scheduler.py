@@ -31,6 +31,19 @@ class TestLargeGraphTrainer:
         assert stats.positive_samples > 0
         assert stats.submatrix_switches >= stats.num_parts
 
+    def test_repr_summarises_without_event_lists(self, graph):
+        device = tiny_device(16)
+        emb = init_embedding(graph.num_vertices, 16, 0)
+        stats = train_large_graph(graph, emb, epochs=20, device=device,
+                                  config=LargeGraphConfig(seed=0))
+        # The event lists exist and stay reachable as attributes ...
+        assert stats.timeline.events and stats.pipeline.events
+        # ... but a repr grows with the kernel count no more.
+        text = repr(stats)
+        assert "StreamEvent(" not in text
+        assert "PoolEvent(" not in text
+        assert f"kernels={stats.kernels}" in text
+
     def test_embedding_actually_trains(self, graph):
         device = tiny_device(16)
         emb = init_embedding(graph.num_vertices, 16, 0)

@@ -1,11 +1,12 @@
-"""LatencyHistogram aggregation: merge, wire round-trip, registry samples.
+"""LatencyHistogram aggregation: merge, wire round-trip, exposition samples.
 
-These primitives carry the fleet-latency satellite: shards serialize their
+These primitives carry fleet-wide latency: shards serialize their
 histograms with ``to_dict`` onto the stats wire, the router rebuilds them
 with ``from_dict`` and folds them together with ``merge``, and the
-Prometheus renderer re-expands any of them via ``metric_sample``.  The
+Prometheus adapter (``samples_from_stats``) re-expands any of them.  The
 round-trip must be *exact* — percentiles computed on a rebuilt histogram
-match the original bucket-for-bucket.
+match the original bucket-for-bucket — and a malformed payload from
+another process must be refused, never misfiled.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.serve.metrics import LatencyHistogram
+from repro.obs.export import samples_from_stats
+from repro.obs.metrics import LatencyHistogram
 
 
 def observed(values, **kwargs) -> LatencyHistogram:
@@ -59,6 +61,26 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown histogram payload"):
             LatencyHistogram.from_dict({})
 
+    @pytest.mark.parametrize("index,count", [(None, 1), (10_000, 1), (-1, 1), (3, -2)],
+                             ids=["past-overflow", "far-out", "negative-index",
+                                  "negative-count"])
+    def test_bad_bucket_entries_are_rejected(self, index, count):
+        payload = observed([0.01]).to_dict()
+        if index is None:                 # one past the overflow bucket
+            index = len(LatencyHistogram().counts)
+        payload["counts"].append([index, count])
+        with pytest.raises(ValueError, match="bad histogram bucket entry"):
+            LatencyHistogram.from_dict(payload)
+
+    @pytest.mark.parametrize("layout", [
+        {"growth": 1 + 1e-12}, {"max_s": math.inf}, {"min_s": 0.0},
+        {"growth": math.nan},
+    ], ids=["tiny-growth", "infinite-max", "zero-min", "nan-growth"])
+    def test_oversized_or_bad_layouts_are_rejected(self, layout):
+        payload = {**observed([0.01]).to_dict(), **layout}
+        with pytest.raises(ValueError, match="bad histogram layout"):
+            LatencyHistogram.from_dict(payload)
+
 
 class TestMerge:
     def test_merge_equals_observing_the_union(self):
@@ -87,8 +109,10 @@ class TestMerge:
 class TestRegistrySample:
     def test_metric_sample_preserves_the_bucket_layout(self):
         hist = observed([0.0001, 0.002, 80.0])    # under-min, mid, overflow
-        sample = hist.metric_sample("repro_server_latency_seconds",
-                                    labels={"stage": "total"})
+        (sample,) = samples_from_stats(
+            {"latency": {"histograms": {"total": hist.to_dict()}}})
+        assert sample.name == "repro_server_latency_seconds"
+        assert sample.labels == (("stage", "total"),)
         assert sample.kind == "histogram"
         assert sample.count == 3
         assert sample.sum_value == pytest.approx(hist.total)
@@ -99,3 +123,14 @@ class TestRegistrySample:
         assert sample.buckets[-1][1] == 2
         cums = [c for _, c in sample.buckets]
         assert cums == sorted(cums)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["counts"].append([10_000, 1]),
+        lambda p: p.update(growth=1 + 1e-12),
+    ], ids=["bad-bucket", "oversized-layout"])
+    def test_a_bad_stage_payload_is_skipped_not_raised(self, corrupt):
+        bad = observed([0.01]).to_dict()
+        corrupt(bad)
+        samples = samples_from_stats({"latency": {"histograms": {
+            "service": bad, "total": observed([0.02]).to_dict()}}})
+        assert [s.labels for s in samples] == [(("stage", "total"),)]

@@ -1,24 +1,17 @@
-"""The metrics core: exact totals under threads, label identity, exposition.
+"""Prometheus text exposition: the renderer every ``/metrics`` surface uses.
 
-The registry's contract is small but load-bearing for every serving
-surface: every mutation is lock-protected (so concurrent writers lose
-nothing), ``labels(...)`` has *identity* semantics (the same label values
-always yield the very same child object), and ``render()`` emits the
-classic Prometheus text format — ``# HELP``/``# TYPE`` once per name,
-histogram ``_bucket`` rows cumulative with an implied ``+Inf``.
+``render_samples`` emits the classic Prometheus text format — ``# HELP``/
+``# TYPE`` once per name, label values escaped, histogram ``_bucket`` rows
+cumulative with an implied ``+Inf`` — and ``Sample`` refuses names the
+format cannot carry.
 """
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
+    Sample,
     counter_sample,
     gauge_sample,
     histogram_sample,
@@ -26,145 +19,20 @@ from repro.obs.metrics import (
 )
 
 
-class TestThreadSafety:
-    def test_counter_total_is_exact_under_concurrent_writers(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_test_ops_total", "ops",
-                                   labelnames=("worker",))
-        writers, increments = 8, 5000
-
-        def work(i: int) -> None:
-            child = counter.labels(worker=str(i % 2))
-            for _ in range(increments):
-                child.inc()
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(writers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        total = sum(s.value for s in counter.samples())
-        assert total == writers * increments
-        # Exactly two children (worker=0 / worker=1), each with half.
-        values = sorted(s.value for s in counter.samples())
-        assert values == [writers * increments / 2] * 2
-
-    def test_histogram_count_is_exact_under_concurrent_writers(self):
-        hist = Histogram("repro_test_latency", "t", buckets=(0.1, 1.0))
-        writers, observations = 6, 3000
-
-        def work() -> None:
-            for i in range(observations):
-                hist.observe(0.05 if i % 2 else 5.0)
-
-        threads = [threading.Thread(target=work) for _ in range(writers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        (sample,) = hist.samples()
-        assert sample.count == writers * observations
-        # Half the observations landed under 0.1, none between 0.1 and 1.0.
-        assert sample.buckets == [(0.1, writers * observations // 2),
-                                  (1.0, writers * observations // 2)]
-
-
-class TestLabelSemantics:
-    def test_same_label_values_return_the_same_child_object(self):
-        counter = Counter("repro_test_total", "t", labelnames=("a", "b"))
-        child = counter.labels(a="x", b="y")
-        assert counter.labels(b="y", a="x") is child          # kwarg order irrelevant
-        assert counter.labels(a="x", b="z") is not child
-        child.inc(3)
-        counter.labels(b="y", a="x").inc(2)
-        assert child.value == 5
-
-    def test_wrong_label_names_raise(self):
-        counter = Counter("repro_test_total", "t", labelnames=("a",))
-        with pytest.raises(ValueError, match="takes labels"):
-            counter.labels(b="x")
-        with pytest.raises(ValueError, match="takes labels"):
-            counter.labels(a="x", b="y")
-
-    def test_labelless_family_rejects_declared_label_use(self):
-        counter = Counter("repro_test_total", "t", labelnames=("a",))
-        with pytest.raises(ValueError, match="declares labels"):
-            counter.inc()
-
-    def test_label_values_are_stringified(self):
-        gauge = Gauge("repro_test_gauge", "t", labelnames=("n",))
-        assert gauge.labels(n=3) is gauge.labels(n="3")
-
-
-class TestInstruments:
-    def test_counter_rejects_negative_increments(self):
-        counter = Counter("repro_test_total", "t")
-        with pytest.raises(ValueError, match="only go up"):
-            counter.inc(-1)
-        counter.inc(2.5)
-        assert counter.value == 2.5
-
-    def test_gauge_moves_freely(self):
-        gauge = Gauge("repro_test_gauge", "t")
-        gauge.set(10)
-        gauge.dec(4)
-        gauge.inc(1)
-        assert gauge.value == 7
-
-    def test_histogram_buckets_must_increase(self):
-        with pytest.raises(ValueError, match="strictly"):
-            Histogram("repro_test", "t", buckets=(1.0, 1.0))
-        with pytest.raises(ValueError, match="strictly"):
-            Histogram("repro_test", "t", buckets=(2.0, 1.0))
-        with pytest.raises(ValueError, match="strictly"):
-            Histogram("repro_test", "t", buckets=())
-
-    def test_invalid_metric_and_label_names_raise(self):
-        with pytest.raises(ValueError, match="invalid metric name"):
-            Counter("9starts_with_digit", "t")
-        with pytest.raises(ValueError, match="invalid label name"):
-            Counter("repro_ok_total", "t", labelnames=("bad-dash",))
-
-
-class TestRegistry:
-    def test_requesting_a_name_twice_returns_the_same_family(self):
-        registry = MetricsRegistry()
-        a = registry.counter("repro_test_total", "t")
-        assert registry.counter("repro_test_total") is a
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_test_total", "t")
-        with pytest.raises(ValueError, match="already registered as counter"):
-            registry.gauge("repro_test_total", "t")
-
-    def test_collectors_contribute_and_unregister(self):
-        registry = MetricsRegistry()
-        fn = lambda: [counter_sample("repro_extra_total", "x", 7)]
-        registry.register_collector(fn)
-        assert [s.name for s in registry.collect()] == ["repro_extra_total"]
-        registry.unregister_collector(fn)
-        assert registry.collect() == []
-        registry.unregister_collector(fn)   # double-unregister is harmless
-
-    def test_injectable_clock_is_carried(self):
-        registry = MetricsRegistry(clock=lambda: 42.0)
-        assert registry.clock() == 42.0
-
-
 class TestExposition:
     def test_golden_text_output(self):
-        registry = MetricsRegistry()
-        queries = registry.counter("repro_queries_total", "queries served",
-                                   labelnames=("tool",))
-        queries.labels(tool="gosh-fast").inc(3)
-        queries.labels(tool="gosh-normal").inc(1)
-        registry.gauge("repro_inflight", "in-flight queries").set(2)
-        latency = registry.histogram("repro_latency_seconds", "latency",
-                                     buckets=(0.1, 1.0))
-        for v in (0.05, 0.05, 0.5, 5.0):
-            latency.observe(v)
-        assert registry.render() == (
+        samples = [
+            counter_sample("repro_queries_total", "queries served", 3,
+                           {"tool": "gosh-fast"}),
+            counter_sample("repro_queries_total", "queries served", 1,
+                           {"tool": "gosh-normal"}),
+            gauge_sample("repro_inflight", "in-flight queries", 2),
+            # Observations 0.05, 0.05, 0.5, 5.0 over edges (0.1, 1.0).
+            histogram_sample("repro_latency_seconds", "latency",
+                             buckets=[(0.1, 2), (1.0, 3)],
+                             sum_value=5.6, count=4),
+        ]
+        assert render_samples(samples) == (
             "# HELP repro_queries_total queries served\n"
             "# TYPE repro_queries_total counter\n"
             'repro_queries_total{tool="gosh-fast"} 3\n'
@@ -180,6 +48,12 @@ class TestExposition:
             "repro_latency_seconds_sum 5.6\n"
             "repro_latency_seconds_count 4\n"
         )
+
+    def test_sample_rejects_invalid_metric_name(self):
+        with pytest.raises(ValueError, match="invalid metric name"):
+            counter_sample("9starts_with_digit", "t", 1)
+        with pytest.raises(ValueError, match="invalid metric name"):
+            Sample("repro_bad-dash", "gauge", "t")
 
     def test_render_samples_groups_help_and_type_once_per_name(self):
         text = render_samples([
