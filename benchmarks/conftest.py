@@ -1,8 +1,7 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper at laptop scale.
-They print paper-formatted rows (captured in ``bench_output.txt`` /
-EXPERIMENTS.md) and use pytest-benchmark for the timing-sensitive kernels.
+They print paper-formatted rows (captured in ``bench_output.txt``) and use pytest-benchmark for the timing-sensitive kernels.
 
 Environment knobs:
 

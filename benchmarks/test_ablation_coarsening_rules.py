@@ -1,4 +1,4 @@
-"""Ablations on the coarsening design choices (DESIGN.md Section 5).
+"""Ablations on the coarsening design choices (paper Section 3.2).
 
 Two of MultiEdgeCollapse's ingredients are ablated:
 

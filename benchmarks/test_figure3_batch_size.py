@@ -58,8 +58,8 @@ def test_figure3_batch_size_tradeoff(figure3_rows):
     # Quality stays in a usable band across the sweep.  Note: at twin scale
     # the rotation count is quantised (ceil(e / (B*K)) reaches 1 quickly), so
     # the paper's accuracy *degradation* at large B is muted here; the bench
-    # verifies the speed mechanism and records the AUCROC series for
-    # EXPERIMENTS.md rather than asserting the degradation direction.
+    # verifies the speed mechanism and prints the AUCROC series rather than
+    # asserting the degradation direction.
     aucs = [r["AUCROC (%)"] for r in figure3_rows]
     assert all(a > 55.0 for a in aucs)
     assert max(aucs) - min(aucs) < 20.0

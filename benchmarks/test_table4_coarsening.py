@@ -2,9 +2,10 @@
 
 The paper reports, per large graph: coarsening time for τ=1 and τ=32, the
 speedup, the number of levels D, and the last-level size |V_{D-1}|.  Here the
-"parallel" algorithm is the vectorised implementation (see DESIGN.md), so the
-speedup column measures vectorised-vs-scalar on the same machine; the shape
-claim (parallel much faster, same level structure) is what is verified.
+"parallel" algorithm is the vectorised implementation (see
+:mod:`repro.coarsening.parallel_collapse`), so the speedup column measures
+vectorised-vs-scalar on the same machine; the shape claim (parallel much
+faster, same level structure) is what is verified.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ The subsystem has four pieces:
 * :mod:`repro.api.result` — the canonical :class:`EmbeddingResult` envelope
   every backend's native result adapts into.
 * :mod:`repro.api.registry` — the global name -> tool registry
-  (:func:`get_tool`, :func:`available_tools`, :func:`register_tool`,
-  entry-point-style :func:`register_lazy`).
+  (:func:`get_tool`, :func:`available_tools`, :func:`register_tool`), one
+  instance of the shared :class:`repro.registry.Registry`.
 * :mod:`repro.api.service` — :class:`EmbeddingService`, the serving-oriented
   facade: batched requests, a shared coarsening-hierarchy cache, progress
   reporting, and serving counters.
@@ -29,7 +29,6 @@ from .registry import (
     UnknownToolError,
     available_tools,
     get_tool,
-    register_lazy,
     register_tool,
     tool_descriptions,
     unregister_tool,
@@ -60,7 +59,6 @@ __all__ = [
     "UnknownToolError",
     "available_tools",
     "get_tool",
-    "register_lazy",
     "register_tool",
     "tool_descriptions",
     "unregister_tool",

@@ -2,149 +2,36 @@
 
 The registry is the one place the harness, CLI, service, and evaluation
 pipeline resolve tools, so adding a backend is a single ``register_tool``
-call (or a lazy ``register_lazy`` spec) instead of edits in four modules.
-
-Two registration styles are supported:
-
-* **eager** — ``register_tool("verse", VerseTool)`` stores a factory that is
-  called with keyword options (``dim``, ``epoch_scale``, ``device``,
-  ``seed``, …) and returns a tool instance.
-* **lazy, entry-point style** — ``register_lazy("verse",
-  "repro.api.tools:VerseTool")`` stores only the ``module:attr`` string; the
-  module is imported on first lookup.  This is how the built-in tools are
-  wired (see :data:`_BUILTIN_SPECS`), mirroring how installed plugins would
-  advertise tools through packaging entry points.
+call instead of edits in four modules.  A registration stores a factory
+that is called with keyword options (``dim``, ``epoch_scale``, ``device``,
+``seed``, …) and returns a tool instance — typically the tool class itself.
+The built-in tools register themselves in :mod:`repro.api.tools`, in the
+presentation order of the Table 6 suite.
 """
 
 from __future__ import annotations
 
-from importlib import import_module
-from typing import Callable
-
+from ..registry import Registry, UnknownNameError
 from .protocol import EmbeddingTool
 
 __all__ = [
+    "TOOLS",
     "UnknownToolError",
     "register_tool",
-    "register_lazy",
     "unregister_tool",
     "get_tool",
     "available_tools",
     "tool_descriptions",
 ]
 
-#: A factory receives keyword options and returns a configured tool.
-ToolFactory = Callable[..., EmbeddingTool]
+#: No default: every caller names its tool.
+TOOLS: Registry[EmbeddingTool] = Registry("tool", {})
 
-_FACTORIES: dict[str, ToolFactory] = {}
-_LAZY: dict[str, str] = {}
-_ALIASES: dict[str, str] = {}
-
-#: Built-in tools, registered through the same entry-point-style specs that
-#: third-party backends use, which keeps this table self-contained (no import
-#: of :mod:`repro.api.tools` here).  The deferred import mostly benefits
-#: external plugins — ``repro/__init__`` imports every built-in backend
-#: anyway.  Order matters: it is the presentation order of the Table 6 suite.
-_BUILTIN_SPECS: dict[str, str] = {
-    "verse": "repro.api.tools:VerseTool",
-    "mile": "repro.api.tools:MileTool",
-    "graphvite": "repro.api.tools:GraphViteTool",
-    "gosh-fast": "repro.api.tools:make_gosh_fast",
-    "gosh-normal": "repro.api.tools:make_gosh_normal",
-    "gosh-slow": "repro.api.tools:make_gosh_slow",
-    "gosh-nocoarse": "repro.api.tools:make_gosh_nocoarse",
-}
-_BUILTIN_ALIASES: dict[str, str] = {
-    "gosh": "gosh-normal",
-    "gosh-no-coarsening": "gosh-nocoarse",
-}
-
-
-class UnknownToolError(KeyError):
-    """Raised when a tool name is not (and cannot lazily be) registered."""
-
-    def __init__(self, name: str, options: list[str]):
-        super().__init__(f"unknown tool {name!r}; registered tools: {', '.join(options)}")
-        self.name = name
-        self.options = options
-
-    def __str__(self) -> str:
-        # KeyError.__str__ wraps the message in repr quotes; undo that so the
-        # CLI can print the message verbatim.
-        return self.args[0]
-
-
-def _canonical(name: str) -> str:
-    return name.strip().lower()
-
-
-def _ensure_builtins() -> None:
-    for name, spec in _BUILTIN_SPECS.items():
-        if name not in _FACTORIES and name not in _LAZY:
-            _LAZY[name] = spec
-    for alias, target in _BUILTIN_ALIASES.items():
-        _ALIASES.setdefault(alias, target)
-
-
-def register_tool(name: str, factory: ToolFactory | None = None, *,
-                  aliases: tuple[str, ...] = (), replace: bool = False):
-    """Register ``factory`` under ``name`` (usable as a decorator).
-
-    ``factory`` is any callable returning an :class:`EmbeddingTool` when
-    called with keyword options — typically the tool class itself.
-    """
-    key = _canonical(name)
-
-    def _register(f: ToolFactory) -> ToolFactory:
-        if not replace and (key in _FACTORIES or key in _LAZY or key in _BUILTIN_SPECS):
-            raise ValueError(f"tool {key!r} is already registered (pass replace=True to override)")
-        _LAZY.pop(key, None)
-        _FACTORIES[key] = f
-        for alias in aliases:
-            _ALIASES[_canonical(alias)] = key
-        return f
-
-    return _register if factory is None else _register(factory)
-
-
-def register_lazy(name: str, target: str, *, aliases: tuple[str, ...] = (),
-                  replace: bool = False) -> None:
-    """Register an entry-point-style ``"module:attr"`` spec under ``name``.
-
-    The module is imported only when the tool is first resolved.
-    """
-    if ":" not in target:
-        raise ValueError(f"lazy target must look like 'module:attr', got {target!r}")
-    key = _canonical(name)
-    if not replace and (key in _FACTORIES or key in _LAZY or key in _BUILTIN_SPECS):
-        raise ValueError(f"tool {key!r} is already registered (pass replace=True to override)")
-    _FACTORIES.pop(key, None)
-    _LAZY[key] = target
-    for alias in aliases:
-        _ALIASES[_canonical(alias)] = key
-
-
-def unregister_tool(name: str) -> None:
-    """Remove a registration (used by tests; built-ins re-register lazily)."""
-    key = _canonical(name)
-    _FACTORIES.pop(key, None)
-    _LAZY.pop(key, None)
-    for alias in [a for a, t in _ALIASES.items() if t == key]:
-        del _ALIASES[alias]
-
-
-def _resolve_factory(key: str) -> ToolFactory:
-    if key in _FACTORIES:
-        return _FACTORIES[key]
-    # Keep the lazy spec in place until the import succeeds, so a transient
-    # import failure surfaces again (with its real error) on the next lookup
-    # instead of degrading into UnknownToolError.
-    spec = _LAZY[key]
-    module_name, attr = spec.split(":", 1)
-    factory = getattr(import_module(module_name), attr)
-    _FACTORIES[key] = factory
-    _LAZY.pop(key, None)
-    return factory
+UnknownToolError = UnknownNameError
+register_tool = TOOLS.register
+unregister_tool = TOOLS.unregister
+#: Registered tool names, in registration (presentation) order.
+available_tools = TOOLS.names
 
 
 def get_tool(name: str, **options) -> EmbeddingTool:
@@ -152,35 +39,18 @@ def get_tool(name: str, **options) -> EmbeddingTool:
 
     Keyword ``options`` are forwarded to the factory; the built-in tools all
     accept ``dim``, ``epoch_scale``, ``device``, ``seed``, ``kernel_backend``,
-    and ``sampler_backend``.
+    ``sampler_backend``, and ``execution_mode``.
     """
-    _ensure_builtins()
-    key = _canonical(name)
-    # Explicit registrations win over aliases: a tool registered under a name
-    # that happens to be a builtin alias (e.g. "gosh") must not be shadowed.
-    if key not in _FACTORIES and key not in _LAZY:
-        key = _ALIASES.get(key, key)
-    if key not in _FACTORIES and key not in _LAZY:
-        raise UnknownToolError(name, available_tools())
-    return _resolve_factory(key)(**options)
-
-
-def available_tools() -> list[str]:
-    """Registered tool names, in registration (presentation) order."""
-    _ensure_builtins()
-    seen = dict.fromkeys(list(_FACTORIES) + list(_LAZY))
-    # Preserve the built-in ordering first, then third-party registrations.
-    ordered = [n for n in _BUILTIN_SPECS if n in seen]
-    ordered += [n for n in seen if n not in _BUILTIN_SPECS]
-    return ordered
+    return TOOLS.factory(name)(**options)
 
 
 def tool_descriptions(**options) -> list[dict[str, object]]:
     """One row per registered tool: name, display name, description.
 
-    A registration that fails to instantiate (broken lazy spec, incompatible
-    factory signature) still gets a row describing the failure — the listing
-    is the diagnostic surface, so it must not die on one bad plugin.
+    A registration that fails to instantiate (incompatible factory
+    signature, a plugin that raises) still gets a row describing the
+    failure — the listing is the diagnostic surface, so it must not die on
+    one bad plugin.
     """
     rows = []
     for name in available_tools():

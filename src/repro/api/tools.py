@@ -21,13 +21,15 @@ same construction options so the registry can build any of them uniformly:
   (``"pipelined"`` default or ``"sequential"``); accepted and ignored by the
   baselines, which have no partitioned engine.
 
-The module-level ``make_gosh_*`` factories are the lazy registration targets
-for the four named GOSH variants (see :mod:`repro.api.registry`).
+Importing this module registers the seven built-in tools with
+:data:`~repro.api.registry.TOOLS`, in the presentation order of the Table 6
+suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -38,13 +40,14 @@ from ..embedding.checkpoint import CHECKPOINT_SUFFIX, CheckpointPolicy, latest_c
 from ..embedding.config import GoshConfig, get_config
 from ..embedding.gosh import GoshEmbedder
 from ..embedding.verse import VerseConfig, verse_embed
-from ..gpu.backends import get_backend
+from ..gpu.backends import KERNEL_BACKENDS
 from ..gpu.device import SimulatedDevice
 from ..graph.csr import CSRGraph
-from ..graph.sampler_backends import DEFAULT_SAMPLER_BACKEND, get_sampler_backend
-from ..large.pipeline import DEFAULT_EXECUTION_MODE, normalize_execution_mode
+from ..graph.sampler_backends import DEFAULT_SAMPLER_BACKEND, SAMPLER_BACKENDS
+from ..large.pipeline import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 from .cache import HierarchyCache
 from .protocol import ProgressCallback, ProgressEvent
+from .registry import register_tool
 from .result import EmbeddingResult
 
 __all__ = [
@@ -53,43 +56,23 @@ __all__ = [
     "VerseTool",
     "MileTool",
     "GraphViteTool",
-    "make_gosh_fast",
-    "make_gosh_normal",
-    "make_gosh_slow",
-    "make_gosh_nocoarse",
 ]
 
 
-def _check_ignored_kernel_backend(name: str | None) -> None:
-    """Validate a ``kernel_backend`` option a tool accepts but does not use.
+def _reject_unknown_names(kernel_backend: str | None, sampler_backend: str | None,
+                          execution_mode: str | None) -> None:
+    """Validate the layer options a baseline accepts but does not use.
 
-    The baselines have their own training loops, so the option is ignored —
-    but an *unregistered* name must still error, otherwise the same typo
-    that fails for GOSH tools silently passes here and mislabels benchmark
-    numbers.  Raises ``ValueError`` to match ``GoshConfig.validate``.
+    The baselines have their own training loops, so these options are
+    ignored — but an *unregistered* name must still error, otherwise the
+    same typo that fails for GOSH tools silently passes here and mislabels
+    benchmark numbers.  Raises ``ValueError`` like ``GoshConfig.validate``.
     """
-    if name is None:
-        return
-    try:
-        get_backend(name)
-    except KeyError as exc:
-        raise ValueError(str(exc)) from exc
-
-
-def _check_ignored_sampler_backend(name: str | None) -> None:
-    """Same typo guard for the ``sampler_backend`` option (see above)."""
-    if name is None:
-        return
-    try:
-        get_sampler_backend(name)
-    except KeyError as exc:
-        raise ValueError(str(exc)) from exc
-
-
-def _check_ignored_execution_mode(name: str | None) -> None:
-    """Same typo guard for the ``execution_mode`` option (see above)."""
-    if name is not None:
-        normalize_execution_mode(name)
+    for registry, name in ((KERNEL_BACKENDS, kernel_backend),
+                           (SAMPLER_BACKENDS, sampler_backend),
+                           (EXECUTION_MODES, execution_mode)):
+        if name is not None:
+            registry.canonical(name)
 
 
 class BaseEmbeddingTool:
@@ -206,11 +189,11 @@ class GoshTool(BaseEmbeddingTool):
     def describe(self) -> str:
         cfg = self.config
         coarse = ("MultiEdgeCollapse" if cfg.use_coarsening else "no coarsening")
-        backend = f", {cfg.kernel_backend} kernels"
-        sampler = ("" if cfg.sampler_backend == DEFAULT_SAMPLER_BACKEND
-                   else f", {cfg.sampler_backend} sampler")
-        mode = ("" if normalize_execution_mode(cfg.execution_mode) == DEFAULT_EXECUTION_MODE
-                else f", {cfg.execution_mode} execution")
+        backend = f", {KERNEL_BACKENDS.canonical(cfg.kernel_backend)} kernels"
+        sampler = SAMPLER_BACKENDS.canonical(cfg.sampler_backend)
+        sampler = "" if sampler == DEFAULT_SAMPLER_BACKEND else f", {sampler} sampler"
+        mode = EXECUTION_MODES.canonical(cfg.execution_mode)
+        mode = "" if mode == DEFAULT_EXECUTION_MODE else f", {mode} execution"
         # Serving observability: when a hierarchy cache is attached (directly
         # or by the EmbeddingService), its behaviour shows up in `tools` /
         # query output instead of being invisible state.
@@ -290,22 +273,6 @@ class GoshTool(BaseEmbeddingTool):
             hierarchy_cache_hit=cache_hit)
 
 
-def make_gosh_fast(**options) -> GoshTool:
-    return GoshTool("fast", **options)
-
-
-def make_gosh_normal(**options) -> GoshTool:
-    return GoshTool("normal", **options)
-
-
-def make_gosh_slow(**options) -> GoshTool:
-    return GoshTool("slow", **options)
-
-
-def make_gosh_nocoarse(**options) -> GoshTool:
-    return GoshTool("no-coarsening", **options)
-
-
 # --------------------------------------------------------------------------- #
 # Baselines
 # --------------------------------------------------------------------------- #
@@ -328,9 +295,7 @@ class VerseTool(BaseEmbeddingTool):
                  execution_mode: str | None = None,
                  epochs: int = 600, learning_rate: float = 0.045,
                  similarity: str = "adjacency", **config_overrides):
-        _check_ignored_kernel_backend(kernel_backend)
-        _check_ignored_sampler_backend(sampler_backend)
-        _check_ignored_execution_mode(execution_mode)
+        _reject_unknown_names(kernel_backend, sampler_backend, execution_mode)
         # CPU-only tool; accepted for registry uniformity.
         del device, kernel_backend, sampler_backend, execution_mode
         self.config = VerseConfig(
@@ -374,9 +339,7 @@ class MileTool(BaseEmbeddingTool):
                  sampler_backend: str | None = None,
                  execution_mode: str | None = None,
                  base_epochs: int = 200, **config_overrides):
-        _check_ignored_kernel_backend(kernel_backend)
-        _check_ignored_sampler_backend(sampler_backend)
-        _check_ignored_execution_mode(execution_mode)
+        _reject_unknown_names(kernel_backend, sampler_backend, execution_mode)
         # CPU-only tool; accepted for registry uniformity.
         del device, kernel_backend, sampler_backend, execution_mode
         self.config = MileConfig(
@@ -417,9 +380,7 @@ class GraphViteTool(BaseEmbeddingTool):
                  sampler_backend: str | None = None,
                  execution_mode: str | None = None,
                  epochs: int = 600, learning_rate: float = 0.05, **config_overrides):
-        _check_ignored_kernel_backend(kernel_backend)
-        _check_ignored_sampler_backend(sampler_backend)
-        _check_ignored_execution_mode(execution_mode)
+        _reject_unknown_names(kernel_backend, sampler_backend, execution_mode)
         # episodic trainer has its own loop; accepted for registry uniformity.
         del kernel_backend, sampler_backend, execution_mode
         self.device = device
@@ -449,3 +410,14 @@ class GraphViteTool(BaseEmbeddingTool):
         return EmbeddingResult.from_graphvite(
             result, tool=self.name, graph=graph.name, seconds=seconds,
             metadata={"dim": cfg.dim, "epochs": cfg.epochs, "seed": cfg.seed})
+
+
+# Built-ins, in the presentation order of the Table 6 suite.
+register_tool("verse", VerseTool)
+register_tool("mile", MileTool)
+register_tool("graphvite", GraphViteTool)
+register_tool("gosh-fast", partial(GoshTool, "fast"))
+register_tool("gosh-normal", partial(GoshTool, "normal"), aliases=("gosh",))
+register_tool("gosh-slow", partial(GoshTool, "slow"))
+register_tool("gosh-nocoarse", partial(GoshTool, "no-coarsening"),
+              aliases=("gosh-no-coarsening",))

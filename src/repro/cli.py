@@ -137,10 +137,8 @@ def _resolve_tool(args: argparse.Namespace):
                         kernel_backend=args.kernel_backend,
                         sampler_backend=args.sampler_backend,
                         execution_mode=args.execution_mode)
-    except UnknownToolError as exc:
-        raise SystemExit(str(exc)) from exc
     except ValueError as exc:
-        # e.g. an unregistered --kernel-backend name
+        # an unregistered --tool or --kernel-backend name, among others
         raise SystemExit(str(exc)) from exc
 
 

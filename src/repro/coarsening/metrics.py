@@ -75,7 +75,7 @@ def super_vertex_balance(mapping: np.ndarray) -> float:
 
 @dataclass
 class CoarseningReport:
-    """Aggregate report for a coarsening run (used by benches and EXPERIMENTS.md)."""
+    """Aggregate report for a coarsening run (used by the coarsening benchmarks)."""
 
     num_levels: int
     level_sizes: list[int]

@@ -6,9 +6,9 @@ temporary cluster id (so no shared counter is needed), then compacts the ids
 in a final O(|V|) pass.  Coarse-graph construction uses per-thread private
 edge buffers that are merged with a prefix-sum scan.
 
-Hardware substitution: this environment exposes a single CPU core, so real
-OS threads cannot demonstrate the speedup.  We therefore provide two
-implementations with the *same algorithmic semantics*:
+Hardware substitution: Python threads running the mapping loop serialise on
+the interpreter lock, so real OS threads cannot demonstrate the speedup.  We
+therefore provide two implementations with the *same algorithmic semantics*:
 
 * :func:`parallel_collapse_once` — a fully vectorised NumPy pass that plays
   the role of the τ-thread version.  Like the threaded original it may

@@ -126,18 +126,13 @@ class GoshConfig:
         if self.resident_sample_pools < 1:
             raise ValueError("resident_sample_pools (S_GPU) must be >= 1")
         # Imported here to keep the config module free of gpu imports at
-        # module load; the registries are the source of truth for valid names.
-        from ..gpu.backends import UnknownBackendError, get_backend
-        try:
-            get_backend(self.kernel_backend)
-        except UnknownBackendError as exc:
-            raise ValueError(str(exc)) from exc
-        from ..graph.sampler_backends import UnknownSamplerBackendError, get_sampler_backend
-        try:
-            get_sampler_backend(self.sampler_backend)
-        except UnknownSamplerBackendError as exc:
-            raise ValueError(str(exc)) from exc
+        # module load; the registries are the source of truth for valid names
+        # and raise UnknownNameError, a ValueError.
+        from ..gpu.backends import get_backend
+        from ..graph.sampler_backends import get_sampler_backend
         from ..large.pipeline import normalize_execution_mode
+        get_backend(self.kernel_backend)
+        get_sampler_backend(self.sampler_backend)
         normalize_execution_mode(self.execution_mode)
 
 

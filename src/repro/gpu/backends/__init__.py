@@ -20,8 +20,7 @@ Selection is wired through :class:`~repro.embedding.config.GoshConfig`
 
 from __future__ import annotations
 
-from typing import Callable
-
+from ...registry import Registry, UnknownNameError
 from .base import EPOCH_KERNELS, KernelBackend
 from .reference import ReferenceBackend
 from .vectorized import VectorizedBackend
@@ -33,6 +32,7 @@ __all__ = [
     "VectorizedBackend",
     "UnknownBackendError",
     "DEFAULT_BACKEND",
+    "KERNEL_BACKENDS",
     "register_backend",
     "get_backend",
     "available_backends",
@@ -42,56 +42,13 @@ __all__ = [
 #: backend remains the semantic oracle for the parity suites.
 DEFAULT_BACKEND = "vectorized"
 
-#: name -> zero-argument factory; instances are created lazily and cached.
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {
-    "reference": ReferenceBackend,
-    "vectorized": VectorizedBackend,
-}
-_INSTANCES: dict[str, KernelBackend] = {}
+KERNEL_BACKENDS: Registry[KernelBackend] = Registry(
+    "kernel backend", {"reference": ReferenceBackend, "vectorized": VectorizedBackend},
+    default=DEFAULT_BACKEND)
 
-
-class UnknownBackendError(KeyError):
-    """Raised when a kernel-backend name is not registered."""
-
-    def __init__(self, name: str, options: list[str]):
-        super().__init__(
-            f"unknown kernel backend {name!r}; registered backends: {', '.join(options)}")
-        self.name = name
-        self.options = options
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend], *,
-                     replace: bool = False) -> None:
-    """Register a zero-argument ``factory`` under ``name`` (case-insensitive)."""
-    key = name.strip().lower()
-    if not replace and key in _FACTORIES:
-        raise ValueError(f"backend {key!r} is already registered (pass replace=True to override)")
-    _FACTORIES[key] = factory
-    _INSTANCES.pop(key, None)
-
-
-def get_backend(backend: str | KernelBackend | None) -> KernelBackend:
-    """Resolve ``backend`` to an instance.
-
-    Accepts a registered name (cached singleton per name), an object already
-    implementing the protocol (returned as-is, so callers can inject
-    pre-configured or third-party backends), or ``None`` for the default.
-    """
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if not isinstance(backend, str):
-        return backend
-    key = backend.strip().lower()
-    if key not in _FACTORIES:
-        raise UnknownBackendError(backend, available_backends())
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _FACTORIES[key]()
-    return _INSTANCES[key]
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, built-ins first."""
-    return list(_FACTORIES)
+UnknownBackendError = UnknownNameError
+register_backend = KERNEL_BACKENDS.register
+#: Resolve a name (cached singleton per name), ``None`` (the default) or an
+#: object already implementing the protocol (returned as-is).
+get_backend = KERNEL_BACKENDS.get
+available_backends = KERNEL_BACKENDS.names

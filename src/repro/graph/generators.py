@@ -1,8 +1,8 @@
 """Synthetic graph generators.
 
 The paper evaluates on SNAP / network-repository graphs (Table 2) that are
-not redistributable here and, at up to 1.8 billion edges, are far beyond a
-single-core Python environment.  These generators produce scaled-down
+not redistributable here and, at up to 1.8 billion edges, are far beyond what
+a pure-Python reproduction embeds in test time.  These generators produce scaled-down
 synthetic *twins* with the structural properties that matter for GOSH:
 
 * heavy-tailed degree distributions (hubs) — exercised by the hub-collision

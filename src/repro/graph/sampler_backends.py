@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
+
+from ..registry import Registry, UnknownNameError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .csr import CSRGraph
@@ -58,6 +60,7 @@ __all__ = [
     "DegreeBiasedSamplerBackend",
     "UnknownSamplerBackendError",
     "DEFAULT_SAMPLER_BACKEND",
+    "SAMPLER_BACKENDS",
     "register_sampler_backend",
     "get_sampler_backend",
     "available_sampler_backends",
@@ -331,62 +334,20 @@ class DegreeBiasedSamplerBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Registry (mirrors repro.gpu.backends)
+# Registry
 # --------------------------------------------------------------------------- #
 #: The sampler backend used when nothing selects one explicitly.
 DEFAULT_SAMPLER_BACKEND = "vectorized"
 
-#: name -> zero-argument factory; instances are created lazily and cached.
-_FACTORIES: dict[str, Callable[[], SamplerBackend]] = {
-    "reference": ReferenceSamplerBackend,
-    "vectorized": VectorizedSamplerBackend,
-    "degree_biased": DegreeBiasedSamplerBackend,
-}
-_INSTANCES: dict[str, SamplerBackend] = {}
+SAMPLER_BACKENDS: Registry[SamplerBackend] = Registry(
+    "sampler backend",
+    {"reference": ReferenceSamplerBackend, "vectorized": VectorizedSamplerBackend,
+     "degree_biased": DegreeBiasedSamplerBackend},
+    default=DEFAULT_SAMPLER_BACKEND)
 
-
-class UnknownSamplerBackendError(KeyError):
-    """Raised when a sampler-backend name is not registered."""
-
-    def __init__(self, name: str, options: list[str]):
-        super().__init__(
-            f"unknown sampler backend {name!r}; registered backends: {', '.join(options)}")
-        self.name = name
-        self.options = options
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def register_sampler_backend(name: str, factory: Callable[[], SamplerBackend], *,
-                             replace: bool = False) -> None:
-    """Register a zero-argument ``factory`` under ``name`` (case-insensitive)."""
-    key = name.strip().lower()
-    if not replace and key in _FACTORIES:
-        raise ValueError(
-            f"sampler backend {key!r} is already registered (pass replace=True to override)")
-    _FACTORIES[key] = factory
-    _INSTANCES.pop(key, None)
-
-
-def get_sampler_backend(backend: str | SamplerBackend | None) -> SamplerBackend:
-    """Resolve ``backend`` to an instance.
-
-    Accepts a registered name (cached singleton per name), an object already
-    implementing the protocol (returned as-is), or ``None`` for the default.
-    """
-    if backend is None:
-        backend = DEFAULT_SAMPLER_BACKEND
-    if not isinstance(backend, str):
-        return backend
-    key = backend.strip().lower()
-    if key not in _FACTORIES:
-        raise UnknownSamplerBackendError(backend, available_sampler_backends())
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _FACTORIES[key]()
-    return _INSTANCES[key]
-
-
-def available_sampler_backends() -> list[str]:
-    """Registered sampler-backend names, built-ins first."""
-    return list(_FACTORIES)
+UnknownSamplerBackendError = UnknownNameError
+register_sampler_backend = SAMPLER_BACKENDS.register
+#: Resolve a name (cached singleton per name), ``None`` (the default) or an
+#: object already implementing the protocol (returned as-is).
+get_sampler_backend = SAMPLER_BACKENDS.get
+available_sampler_backends = SAMPLER_BACKENDS.names

@@ -2,7 +2,7 @@
 
 Each entry pairs the paper's graph with a generator recipe that reproduces
 its qualitative structure (degree skew, density, community structure) at a
-size a single CPU core can embed in seconds.  The registry is what every
+size a laptop embeds in seconds.  The registry is what every
 benchmark iterates over, so the mapping from paper graph -> twin is recorded
 in one place.
 """

@@ -1,8 +1,8 @@
 """Paper-style table formatting for the benchmark harness.
 
 Every benchmark prints its results as an ASCII table whose columns match the
-corresponding table/figure of the paper, so EXPERIMENTS.md can be filled in
-by copying the output.
+corresponding table/figure of the paper, so a run reads side by side with
+the paper.
 """
 
 from __future__ import annotations

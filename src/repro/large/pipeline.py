@@ -47,6 +47,7 @@ import numpy as np
 from ..faults import FAULTS
 from ..graph.partition import VertexPartition
 from ..obs import trace
+from ..registry import Registry, UnknownNameError
 from .sample_pool import SamplePool, SamplePoolManager
 
 __all__ = [
@@ -72,31 +73,7 @@ __all__ = [
 #: (see :data:`repro.large.sample_pool.POOL_STREAM`).
 KERNEL_STREAM = 2
 
-#: Supported execution modes, default first.
-EXECUTION_MODES = ("pipelined", "sequential")
 DEFAULT_EXECUTION_MODE = "pipelined"
-
-
-class UnknownExecutionModeError(ValueError):
-    """Raised when an execution-mode name is not one of :data:`EXECUTION_MODES`."""
-
-    def __init__(self, mode: str):
-        super().__init__(
-            f"unknown execution mode {mode!r}; options: {', '.join(EXECUTION_MODES)}")
-        self.mode = mode
-
-
-def normalize_execution_mode(mode: str | None) -> str:
-    """Canonical lower-case mode name, or raise :class:`UnknownExecutionModeError`.
-
-    The single place that knows how mode names are normalised — config
-    validation, the tool registry's typo guard, and executor construction
-    all call it, so the accepted spellings cannot drift apart.
-    """
-    key = (mode or DEFAULT_EXECUTION_MODE).strip().lower()
-    if key not in EXECUTION_MODES:
-        raise UnknownExecutionModeError(mode if mode is not None else key)
-    return key
 
 
 def kernel_rng(seed: int, rotation: int, part_a: int, part_b: int) -> np.random.Generator:
@@ -422,10 +399,18 @@ class _ProducerFailure:
     error: BaseException
 
 
+#: Execution mode -> executor class, default first.
+EXECUTION_MODES: Registry = Registry(
+    "execution mode",
+    {"pipelined": PipelinedExecutor, "sequential": SequentialExecutor},
+    default=DEFAULT_EXECUTION_MODE)
+
+UnknownExecutionModeError = UnknownNameError
+#: Canonical lower-case mode name (``None`` -> the default), or raise.
+normalize_execution_mode = EXECUTION_MODES.canonical
+
+
 def create_executor(mode: str, manager: SamplePoolManager, preparer: PoolPreparer,
                     schedule: list[ScheduleEntry], capacity: int):
     """Build the executor for ``mode`` (``"pipelined"`` or ``"sequential"``)."""
-    key = normalize_execution_mode(mode)
-    if key == "pipelined":
-        return PipelinedExecutor(manager, preparer, schedule, capacity)
-    return SequentialExecutor(manager, preparer, schedule, capacity)
+    return EXECUTION_MODES.factory(mode)(manager, preparer, schedule, capacity)

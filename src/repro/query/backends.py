@@ -1,8 +1,8 @@
 """Query backend layer: swappable top-k implementations over one scorer.
 
-Mirrors the kernel/sampler backend registries
-(:mod:`repro.gpu.backends` / :mod:`repro.graph.sampler_backends`): a small
-protocol, two built-ins, and name-based registration for third parties.
+Like the kernel/sampler backend layers (:mod:`repro.gpu.backends` /
+:mod:`repro.graph.sampler_backends`): a small protocol, two built-ins, and
+name-based registration (:data:`QUERY_BACKENDS`) for third parties.
 
 * ``"exact"`` — the brute-force oracle: score every row against every query
   in one pass and fully sort each query's score column.  Clarity over speed.
@@ -28,13 +28,16 @@ pins ids *and* score bits across block sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
+
+from ..registry import Registry, UnknownNameError
 
 __all__ = [
     "METRICS",
     "DEFAULT_QUERY_BACKEND",
+    "QUERY_BACKENDS",
     "PreparedMatrix",
     "QueryBackend",
     "ExactQueryBackend",
@@ -303,53 +306,15 @@ class BlockedQueryBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Registry (mirrors repro.gpu.backends / repro.graph.sampler_backends)
+# Registry
 # --------------------------------------------------------------------------- #
-#: name -> zero-argument factory; instances are created lazily and cached.
-_FACTORIES: dict[str, Callable[[], QueryBackend]] = {
-    "exact": ExactQueryBackend,
-    "blocked": BlockedQueryBackend,
-}
-_INSTANCES: dict[str, QueryBackend] = {}
+QUERY_BACKENDS: Registry[QueryBackend] = Registry(
+    "query backend", {"exact": ExactQueryBackend, "blocked": BlockedQueryBackend},
+    default=DEFAULT_QUERY_BACKEND)
 
-
-class UnknownQueryBackendError(KeyError):
-    """Raised when a query-backend name is not registered."""
-
-    def __init__(self, name: str, options: list[str]):
-        super().__init__(
-            f"unknown query backend {name!r}; registered backends: {', '.join(options)}")
-        self.name = name
-        self.options = options
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def register_query_backend(name: str, factory: Callable[[], QueryBackend], *,
-                           replace: bool = False) -> None:
-    """Register a zero-argument ``factory`` under ``name`` (case-insensitive)."""
-    key = name.strip().lower()
-    if not replace and key in _FACTORIES:
-        raise ValueError(f"backend {key!r} is already registered (pass replace=True to override)")
-    _FACTORIES[key] = factory
-    _INSTANCES.pop(key, None)
-
-
-def get_query_backend(backend: "str | QueryBackend | None") -> QueryBackend:
-    """Resolve ``backend`` to an instance (name, instance, or None=default)."""
-    if backend is None:
-        backend = DEFAULT_QUERY_BACKEND
-    if not isinstance(backend, str):
-        return backend
-    key = backend.strip().lower()
-    if key not in _FACTORIES:
-        raise UnknownQueryBackendError(backend, available_query_backends())
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _FACTORIES[key]()
-    return _INSTANCES[key]
-
-
-def available_query_backends() -> list[str]:
-    """Registered backend names, built-ins first."""
-    return list(_FACTORIES)
+UnknownQueryBackendError = UnknownNameError
+register_query_backend = QUERY_BACKENDS.register
+#: Resolve a name (cached singleton per name), ``None`` (the default) or an
+#: object already implementing the protocol (returned as-is).
+get_query_backend = QUERY_BACKENDS.get
+available_query_backends = QUERY_BACKENDS.names

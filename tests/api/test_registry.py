@@ -12,7 +12,6 @@ from repro.api import (
     as_embedder,
     available_tools,
     get_tool,
-    register_lazy,
     register_tool,
     tool_descriptions,
     unregister_tool,
@@ -82,18 +81,6 @@ class TestRegistry:
             unregister_tool("constant")
         assert "constant" not in available_tools()
 
-    def test_register_lazy_entry_point_style(self):
-        register_lazy("verse-lazy", "repro.api.tools:VerseTool")
-        try:
-            tool = get_tool("verse-lazy", dim=8)
-            assert tool.name == "verse"
-        finally:
-            unregister_tool("verse-lazy")
-
-    def test_register_lazy_rejects_bad_spec(self):
-        with pytest.raises(ValueError, match="module:attr"):
-            register_lazy("bad", "no-colon-here")
-
     def test_explicit_registration_wins_over_builtin_alias(self):
         """A tool registered under an alias name must not be shadowed by it."""
         marker = object()
@@ -105,17 +92,12 @@ class TestRegistry:
         # With the registration gone the builtin alias applies again.
         assert get_tool("gosh").name == "gosh-normal"
 
-    def test_failed_lazy_import_survives_for_retry(self):
-        """A lazy spec whose import fails must keep raising the real error,
-        not degrade into UnknownToolError on the second lookup."""
-        register_lazy("broken-lazy", "no_such_module_xyz:Tool")
-        try:
-            with pytest.raises(ModuleNotFoundError):
-                get_tool("broken-lazy")
-            with pytest.raises(ModuleNotFoundError):
-                get_tool("broken-lazy")
-        finally:
-            unregister_tool("broken-lazy")
+    def test_alias_cannot_hijack_a_builtin_alias(self):
+        """Claiming an existing alias must be explicit, like a name."""
+        with pytest.raises(ValueError, match="already registered"):
+            register_tool("hijacker", lambda **kw: None, aliases=("gosh",))
+        assert "hijacker" not in available_tools()
+        assert get_tool("gosh").name == "gosh-normal"
 
     def test_builtin_name_collision_rejected(self):
         with pytest.raises(ValueError):
@@ -185,7 +167,10 @@ class TestBuiltinTools:
         assert second.stats["hierarchy_cache_hit"] is False
 
     def test_broken_registration_does_not_break_listing(self):
-        register_lazy("broken-listing", "no_such_module_xyz:Tool")
+        def broken(**options):
+            raise ModuleNotFoundError("No module named 'no_such_module_xyz'")
+
+        register_tool("broken-listing", broken)
         try:
             rows = tool_descriptions(dim=8, epoch_scale=0.02)
             by_name = {r["name"]: r for r in rows}

@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.embedding import (
     FAST,
     NORMAL,
+    GoshConfig,
     GoshEmbedder,
     LevelTrainer,
     embed,
@@ -278,6 +279,20 @@ class TestExecutionModeIntegration:
     def test_default_mode_not_mentioned_in_describe(self):
         tool = get_tool("gosh-fast", dim=8)
         assert "execution" not in tool.describe()
+
+    def test_empty_mode_is_unknown_not_the_default(self):
+        """Only None selects the default mode; "" is a typo like any other."""
+        with pytest.raises(ValueError):
+            GoshConfig(execution_mode="").validate()
+        for name in ("gosh-fast", "verse"):
+            with pytest.raises(ValueError):
+                get_tool(name, dim=8, execution_mode="")
+
+    def test_describe_uses_canonical_names(self):
+        text = get_tool("gosh-fast", dim=8, kernel_backend="Reference",
+                        sampler_backend="VECTORIZED").describe()
+        assert "reference kernels" in text
+        assert "sampler" not in text
 
     def test_baselines_reject_invalid_mode_names_too(self):
         for name in ("verse", "mile", "graphvite"):

@@ -27,6 +27,7 @@ from repro.query import (
     register_query_backend,
     topk_by_score,
 )
+from repro.query.backends import QUERY_BACKENDS
 
 
 def golden_matrix(n: int, dim: int, seed: int) -> np.ndarray:
@@ -285,7 +286,4 @@ class TestRegistry:
                 register_query_backend("mirror", MirrorBackend)
             register_query_backend("mirror", MirrorBackend, replace=True)
         finally:
-            from repro.query import backends as mod
-
-            mod._FACTORIES.pop("mirror", None)
-            mod._INSTANCES.pop("mirror", None)
+            QUERY_BACKENDS.unregister("mirror")
