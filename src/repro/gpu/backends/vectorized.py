@@ -25,8 +25,10 @@ backend computes whole sample-rounds as single batched NumPy expressions:
 
 The pair kernel keeps *accumulation* semantics for its conflicts (positive
 pools repeat each source ``B`` times, so dropping conflicting updates would
-change training quality) but resolves them with a deterministic sort +
-``np.add.reduceat`` segment sum instead of ``np.add.at``.
+change training quality).  Its scatters are bit-identical to ``np.add.at``
+in sample order, computed from a precomputed :class:`ScatterPlan` of
+duplicate-rank levels and degree-bucketed hub tails instead of by
+``np.add.at`` itself.
 
 Parity with the reference backend is pinned by
 ``tests/gpu/test_kernel_backends.py``; the documented tolerances are
@@ -50,44 +52,119 @@ from ..kernels import (
 )
 from .base import EPOCH_KERNELS
 
-__all__ = ["VectorizedBackend", "ScatterPlan", "PairPlan", "plan_scatter"]
+__all__ = ["VectorizedBackend", "ScatterPlan", "PairPlan", "plan_scatter", "LEVELS"]
+
+
+#: Occurrence ranks handled by plain fancy adds; longer (hub) segments put
+#: the rest of their occurrences in padded tail buckets.
+LEVELS = 8
+
+
+@dataclass(frozen=True)
+class TailBucket:
+    """Hub segments whose tails fit one padded power-of-two width ``w``."""
+
+    heads: np.ndarray   # (nseg,) unique target rows
+    rows: np.ndarray    # (nseg, w) sample rows in order, padded with m = len(idx)
+    pad: np.ndarray     # flat positions of the padding cells in ``rows``
 
 
 @dataclass(frozen=True)
 class ScatterPlan:
-    """Precomputed index structure for one deterministic segment scatter-add.
+    """Precomputed index structure for ``np.add.at(target, idx, updates)``.
 
-    The expensive part of ``target[idx] += updates`` with duplicate
-    accumulation is the stable sort of ``idx`` — which depends only on the
-    indices, never on the update values.  A plan captures that sort (the
-    permutation, the duplicate-segment starts, and the unique target rows) so
-    the value-dependent half can run later, possibly on another thread's
-    schedule: the pipelined large-graph engine builds plans on the producer
-    while the consumer applies them against live sub-matrices.
+    The result is bit-identical to ``np.add.at`` in sample order: each target
+    row receives its duplicate updates one at a time, left to right.  A plan
+    depends only on ``idx``, never on the update values, so the pipelined
+    large-graph engine builds plans on the producer thread while the consumer
+    applies them against live sub-matrices.
+
+    After a stable sort of ``idx`` each distinct row is a segment of its
+    occurrences.  Level ``r`` holds the segments longer than ``r`` with the
+    sample row of each one's ``r``-th occurrence; its heads are unique, so
+    ``target[heads] += updates[rows]`` is a plain fancy add.  Occurrences
+    past :data:`LEVELS` (hubs) go to tail buckets grouped by padded
+    power-of-two width, which bounds both the bucket count and the padding;
+    padding cells hold ``-0.0``, the exact IEEE additive identity.
     """
 
-    order: np.ndarray    # stable argsort of idx
-    starts: np.ndarray   # duplicate-segment boundaries in the sorted order
-    heads: np.ndarray    # unique target rows, one per segment
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]   # (heads, rows) per rank
+    tails: tuple[TailBucket, ...]
 
     def apply(self, target: np.ndarray, updates: np.ndarray) -> None:
-        """``target[idx] += updates`` using the precomputed sort."""
-        if self.order.size == 0:
-            return
-        target[self.heads] += np.add.reduceat(updates[self.order], self.starts, axis=0)
+        """``np.add.at(target, idx, updates)`` using the precomputed plan.
+
+        Exact when ``updates`` has ``target``'s dtype (as in the kernels).
+        """
+        for heads, rows in self.levels:
+            # u + t == t + u exactly; np.take gathers faster than fancy indexing.
+            cells = np.take(updates, rows, axis=0)
+            cells += np.take(target, heads, axis=0)
+            target[heads] = cells
+        for bucket in self.tails:
+            # Padding indexes m; clip keeps the gather in range and the
+            # padding cells are overwritten with -0.0 right after.
+            cells = np.take(updates, bucket.rows, axis=0, mode="clip")
+            cells.reshape(-1, *cells.shape[2:])[bucket.pad] = -0.0
+            # (t + u0) + u1 + ...: addition commutes exactly, so folding the
+            # target into the first column keeps the left-to-right order.
+            cells[:, 0] += target[bucket.heads]
+            target[bucket.heads] = _sum_columns(cells)
+
+    def nbytes(self) -> int:
+        arrays = [a for level in self.levels for a in level]
+        arrays += [a for b in self.tails for a in (b.heads, b.rows, b.pad)]
+        return int(sum(a.nbytes for a in arrays))
+
+
+def _sum_columns(cells: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over axis 1 of an ``(nseg, w, ...)`` array.
+
+    ``np.add.reduce`` runs the reduced axis as an outer loop — one sequential
+    row add per column — while a row axis of width > 1 stays innermost; if
+    the rows are scalars numpy would sum pairwise instead, so those go
+    through ``accumulate``, which is sequential by definition.  The reduce
+    starts from ``initial``, which must be ``-0.0``: ``+0.0 + -0.0`` would
+    flip a ``-0.0`` first column to ``+0.0``.
+    """
+    if cells[0, 0].size > 1:
+        return np.add.reduce(cells, axis=1, initial=-0.0)
+    return np.add.accumulate(cells, axis=1)[:, -1]
 
 
 def plan_scatter(idx: np.ndarray) -> ScatterPlan:
-    """Build the :class:`ScatterPlan` for an index array (value-independent)."""
-    if idx.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return ScatterPlan(order=empty, starts=empty, heads=empty)
+    """Build the :class:`ScatterPlan` for a non-negative index array.
+
+    Value-independent: the pipelined engine calls it on the producer thread.
+    """
+    m = int(idx.size)
+    if m == 0:
+        return ScatterPlan(levels=(), tails=())
     order = np.argsort(idx, kind="stable")
     sorted_idx = idx[order]
     # Segment boundaries straight off the sorted array (np.unique would
     # needlessly re-sort it).
     starts = np.concatenate(([0], np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1))
-    return ScatterPlan(order=order, starts=starts, heads=sorted_idx[starts])
+    lengths = np.diff(starts, append=m)
+    levels = []
+    for r in range(min(LEVELS, int(lengths.max()))):
+        seg = starts[lengths > r]
+        levels.append((sorted_idx[seg], order[seg + r]))
+
+    hub = lengths > LEVELS
+    hub_starts, tail = starts[hub] + LEVELS, lengths[hub] - LEVELS
+    # Bucket by padded width 2**ceil(log2(tail)), so every width < 2 * tail.
+    width = np.left_shift(1, np.frexp(tail - 1)[1].astype(np.int64))
+    tails = []
+    for w in np.unique(width):
+        sel = width == w
+        cols = np.arange(w)
+        pos = hub_starts[sel, None] + cols
+        real = cols < tail[sel, None]
+        rows = np.where(real, order[np.minimum(pos, m - 1)], m)
+        tails.append(TailBucket(heads=sorted_idx[hub_starts[sel] - LEVELS], rows=rows,
+                                pad=np.flatnonzero(~real)))
+    return ScatterPlan(levels=tuple(levels), tails=tuple(tails))
 
 
 @dataclass(frozen=True)
@@ -113,9 +190,8 @@ class PairPlan:
 
     def nbytes(self) -> int:
         arrays = [self.local_src, self.local_dst, self.neg_targets]
-        for plan in (self.pos_src_scatter, self.pos_dst_scatter, *self.neg_scatters):
-            arrays += [plan.order, plan.starts, plan.heads]
-        return int(sum(a.nbytes for a in arrays))
+        plans = (self.pos_src_scatter, self.pos_dst_scatter, *self.neg_scatters)
+        return int(sum(a.nbytes for a in arrays)) + sum(p.nbytes() for p in plans)
 
 
 class VectorizedBackend:
@@ -264,26 +340,30 @@ class VectorizedBackend:
         local_src, local_dst = plan.local_src, plan.local_dst
 
         # Positive updates: scores from the pre-update vectors, conflicts
-        # accumulated with the deterministic segment sum (positive pools
-        # repeat every source B times — dropping those would lose training
-        # signal, so last-writer-wins is wrong here).
+        # accumulated exactly as np.add.at would (positive pools repeat
+        # every source B times — dropping those would lose training signal,
+        # so last-writer-wins is wrong here).  With the float32 LUT the
+        # scores share the matrices' dtype, so the in-place steps round
+        # exactly like ``new_src = src + dst * s`` and its products.
         if local_src.size:
-            src_vecs = sub_a[local_src]
-            dst_vecs = sub_b[local_dst]
+            src_vecs = np.take(sub_a, local_src, axis=0)
+            dst_vecs = np.take(sub_b, local_dst, axis=0)
             scores = (1.0 - sig(np.einsum("ij,ij->i", src_vecs, dst_vecs))) * lr
-            new_src = src_vecs + dst_vecs * scores[:, None]
-            plan.pos_src_scatter.apply(sub_a, dst_vecs * scores[:, None])
-            plan.pos_dst_scatter.apply(sub_b, new_src * scores[:, None])
+            dst_vecs *= scores[:, None]
+            src_vecs += dst_vecs
+            src_vecs *= scores[:, None]
+            plan.pos_src_scatter.apply(sub_a, dst_vecs)
+            plan.pos_dst_scatter.apply(sub_b, src_vecs)
 
         # Negative rounds: one per ns, sources are every vertex of part A
         # (unique, so the source side needs no conflict resolution at all).
         for neg_targets, neg_scatter in zip(plan.neg_targets, plan.neg_scatters):
-            src_vecs = sub_a
-            dst_vecs = sub_b[neg_targets]
-            scores = (0.0 - sig(np.einsum("ij,ij->i", src_vecs, dst_vecs))) * lr
-            new_src = src_vecs + dst_vecs * scores[:, None]
-            sub_a += dst_vecs * scores[:, None]
-            neg_scatter.apply(sub_b, new_src * scores[:, None])
+            dst_vecs = np.take(sub_b, neg_targets, axis=0)
+            scores = (0.0 - sig(np.einsum("ij,ij->i", sub_a, dst_vecs))) * lr
+            # sub_a after the in-place add is the updated source vector.
+            dst_vecs *= scores[:, None]
+            sub_a += dst_vecs
+            neg_scatter.apply(sub_b, sub_a * scores[:, None])
 
         record_pair_cost(device, local_src.shape[0], part_a.shape[0], ns,
                          sub_a.shape[1], warp_config=warp_config)

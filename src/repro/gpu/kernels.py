@@ -298,7 +298,6 @@ def train_pair_kernel(part_a: np.ndarray, part_b: np.ndarray,
     # Map global ids to positions inside the resident sub-matrices.
     local_src, local_dst = resolve_pair_locals(pos_src, pos_dst, part_a, part_b,
                                                index_a, index_b)
-    same_part = sub_a is sub_b
 
     # Positive updates.
     if local_src.size:
@@ -324,4 +323,3 @@ def train_pair_kernel(part_a: np.ndarray, part_b: np.ndarray,
 
     record_pair_cost(device, local_src.shape[0], part_a.shape[0], ns, sub_a.shape[1],
                      warp_config=warp_config)
-    _ = same_part  # same-part pairs need no special casing beyond shared storage

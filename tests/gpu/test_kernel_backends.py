@@ -8,7 +8,8 @@ The two backends differ in three documented ways:
 2. **Conflict policy** — reference accumulates duplicate-sample updates with
    ``np.add.at``; the vectorized epoch kernels resolve duplicates within a
    round deterministically last-writer-wins (the pair kernel keeps exact
-   accumulation via a sorted segment sum).
+   accumulation: its scatters are bit-identical to ``np.add.at`` in sample
+   order).
 3. **Chunking** — reference stages sources in 2048-wide chunks; vectorized
    stages the whole epoch at once (identical for graphs below 2048 vertices).
 
