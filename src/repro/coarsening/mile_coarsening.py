@@ -21,6 +21,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from .multi_edge_collapse import CoarseningResult, coarsen_graph
+from .parallel_collapse import compact_mapping
 
 __all__ = ["heavy_edge_matching_once", "structural_equivalence_groups", "mile_coarsen"]
 
@@ -95,8 +96,7 @@ def heavy_edge_matching_once(graph: CSRGraph, *, use_sem: bool = True,
     untouched = matched == -1
     matched[untouched] = np.flatnonzero(untouched)
 
-    unique_ids, compact = np.unique(matched, return_inverse=True)
-    return compact.astype(np.int64), int(unique_ids.shape[0])
+    return compact_mapping(matched)
 
 
 def mile_coarsen(graph: CSRGraph, num_levels: int, *, use_sem: bool = True,

@@ -29,7 +29,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, csr_from_pair_keys, pack_keys
 
 __all__ = [
     "CoarseningResult",
@@ -78,18 +78,20 @@ class CoarseningResult:
 
 
 def degree_order(graph: CSRGraph) -> np.ndarray:
-    """Vertices in decreasing-degree order (counting sort, O(|V| + max_deg)).
+    """Vertices in decreasing-degree order, ties broken by vertex id.
 
     The paper sorts by neighbourhood size so that hub vertices open clusters
-    before their low-degree neighbours can lock them.  A counting sort keeps
-    the step linear; ties are broken by vertex id for determinism.
+    before their low-degree neighbours can lock them.  One ``np.sort`` of
+    packed ``(max_degree - degree, id)`` keys gives the order a stable
+    argsort of the negated degrees would.
     """
     degrees = graph.degrees
-    if degrees.size == 0:
+    n = degrees.shape[0]
+    if n == 0:
         return np.zeros(0, dtype=np.int64)
-    # np.argsort with stable kind on the negated degrees == counting-sort
-    # semantics (deterministic, linear-ish for small integer keys).
-    return np.argsort(-degrees, kind="stable").astype(np.int64)
+    top = int(degrees.max())
+    keys = np.sort(pack_keys(top - degrees, np.arange(n), top + 1, n))
+    return keys % n
 
 
 def collapse_once(graph: CSRGraph, *, order: np.ndarray | None = None,
@@ -133,23 +135,27 @@ def coarsen_graph(graph: CSRGraph, mapping: np.ndarray, num_clusters: int,
 
     Every arc ``(u, v)`` of ``G_i`` becomes ``(map[u], map[v])``; self loops
     created by intra-cluster edges are removed and parallel arcs are merged.
+    The mapped arcs are packed into ``src * K + dst`` keys and sorted once
+    (:func:`~repro.graph.csr.csr_from_pair_keys`).  The arcs of an undirected
+    ``G_i`` come in both directions, so its mapped arcs already do too and
+    are not doubled; a directed ``G_i`` is symmetrised.
     """
     if mapping.shape[0] != graph.num_vertices:
         raise ValueError("mapping must have one entry per vertex")
     if np.any(mapping < 0):
         raise ValueError("mapping contains unassigned vertices")
-    arcs = graph.edge_array()
-    new_src = mapping[arcs[:, 0]]
-    new_dst = mapping[arcs[:, 1]]
-    keep = new_src != new_dst
-    coarse = CSRGraph.from_edges(
-        int(num_clusters),
-        np.column_stack([new_src[keep], new_dst[keep]]),
-        undirected=True,
-        dedup=True,
-        name=name or f"{graph.name}_coarse",
-    )
-    return coarse
+    k = int(num_clusters)
+    if mapping.size and int(mapping.max()) >= k:
+        raise ValueError(f"mapping refers to clusters outside [0, {k})")
+    src = np.repeat(mapping, graph.degrees)
+    dst = mapping[graph.adj]
+    keep = src != dst
+    keys = pack_keys(src[keep], dst[keep], k, k)
+    if not graph.undirected:
+        keys = np.concatenate([keys, pack_keys(dst[keep], src[keep], k, k)])
+    xadj, adj = csr_from_pair_keys(k, keys, dedup=True)
+    return CSRGraph(xadj=xadj, adj=adj, num_vertices=k, undirected=True,
+                    name=name or f"{graph.name}_coarse")
 
 
 def multi_edge_collapse(graph: CSRGraph, *, threshold: int = DEFAULT_THRESHOLD,

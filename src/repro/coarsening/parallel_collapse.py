@@ -29,7 +29,7 @@ from time import perf_counter
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .multi_edge_collapse import CoarseningResult, coarsen_graph, DEFAULT_THRESHOLD
+from .multi_edge_collapse import CoarseningResult, coarsen_graph, degree_order, DEFAULT_THRESHOLD
 
 __all__ = [
     "parallel_collapse_once",
@@ -44,10 +44,18 @@ def compact_mapping(raw_mapping: np.ndarray) -> tuple[np.ndarray, int]:
 
     The parallel algorithm stores the *hub vertex id* in ``map[v]``; this is
     the final sequential pass described in the paper that detects vertices
-    with ``map[v] == v`` and renumbers all entries.
+    with ``map[v] == v`` and renumbers all entries.  Each label becomes its
+    rank among the labels in use — a presence mask over the label range and
+    a prefix sum, no sort; O(|V|) for the hub-id labels the coarseners pass.
     """
-    unique_ids, compacted = np.unique(raw_mapping, return_inverse=True)
-    return compacted.astype(np.int64), int(unique_ids.shape[0])
+    raw = np.asarray(raw_mapping, dtype=np.int64)
+    if raw.size == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    offset = raw - raw.min()
+    used = np.zeros(int(offset.max()) + 1, dtype=bool)
+    used[offset] = True
+    rank = np.cumsum(used) - 1
+    return rank[offset], int(rank[-1]) + 1
 
 
 def parallel_collapse_once(graph: CSRGraph, *, hub_rule: bool = True) -> tuple[np.ndarray, int]:
@@ -60,44 +68,39 @@ def parallel_collapse_once(graph: CSRGraph, *, hub_rule: bool = True) -> tuple[n
     own leader.  A leader claim is only honoured when the chosen leader is a
     root (its own leader); otherwise the vertex falls back to being a root —
     exactly the "skip the candidate on lock failure" behaviour of the
-    threaded code.
+    threaded code.  Nothing is sorted.
     """
     n = graph.num_vertices
     if n == 0:
         return np.zeros(0, dtype=np.int64), 0
     degrees = graph.degrees.astype(np.int64)
     delta = graph.num_edges / max(n, 1)
-    arcs = graph.edge_array()
-    src, dst = arcs[:, 0], arcs[:, 1]
+    adj = graph.adj
 
     # Priority: higher degree wins; ties broken by smaller vertex id.  Encode
-    # as a single sortable key so argmax over neighbours is vectorisable.
+    # as one integer, unique per vertex, so "best neighbour" is a plain max
+    # and the winning priority decodes back to its vertex.
     priority = degrees * np.int64(n) + (np.int64(n) - 1 - np.arange(n, dtype=np.int64))
 
-    # Eligibility of the arc (src <- dst means "dst could lead src"):
-    # the hub rule requires deg(leader) <= delta or deg(follower) <= delta.
+    # Arc src <- dst means "dst could lead src".  The leader must strictly
+    # dominate the follower in priority so that the relation is acyclic
+    # (mirrors "hubs are processed first").
+    candidate = priority[adj]
+    valid = candidate > np.repeat(priority, degrees)
+    # The hub rule requires deg(leader) <= delta or deg(follower) <= delta.
     if hub_rule:
-        eligible = (degrees[dst] <= delta) | (degrees[src] <= delta)
-    else:
-        eligible = np.ones(src.shape[0], dtype=bool)
-    # The leader must strictly dominate the follower in priority so that the
-    # relation is acyclic (mirrors "hubs are processed first").
-    dominates = priority[dst] > priority[src]
-    valid = eligible & dominates
+        small = degrees <= delta
+        valid &= small[adj] | np.repeat(small, degrees)
 
     leader = np.arange(n, dtype=np.int64)
     if np.any(valid):
-        vsrc = src[valid]
-        vdst = dst[valid]
-        # For each follower pick the highest-priority dominating neighbour:
-        # sort arcs by (follower, leader priority) and take the last per group.
-        order = np.lexsort((priority[vdst], vsrc))
-        vsrc_sorted = vsrc[order]
-        vdst_sorted = vdst[order]
-        # Last occurrence per follower has the max leader priority.
-        is_last = np.ones(vsrc_sorted.shape[0], dtype=bool)
-        is_last[:-1] = vsrc_sorted[:-1] != vsrc_sorted[1:]
-        leader[vsrc_sorted[is_last]] = vdst_sorted[is_last]
+        # CSR arcs are grouped by follower: one max per non-empty row picks
+        # the highest-priority dominating neighbour (-1 marks "none").
+        candidate[~valid] = -1
+        rows = np.flatnonzero(degrees)
+        best = np.maximum.reduceat(candidate, graph.xadj[rows])
+        claims = best >= 0
+        leader[rows[claims]] = np.int64(n) - 1 - best[claims] % np.int64(n)
 
     # Honour a claim only if the chosen leader is itself a root; otherwise
     # the follower becomes a root (skip-on-contention).
@@ -124,7 +127,7 @@ def simulated_threaded_collapse(graph: CSRGraph, num_threads: int = 4, *,
     n = graph.num_vertices
     degrees = graph.degrees
     delta = graph.num_edges / max(n, 1)
-    order = np.argsort(-degrees, kind="stable")
+    order = degree_order(graph)
     mapping = np.full(n, -1, dtype=np.int64)
     xadj, adj = graph.xadj, graph.adj
 

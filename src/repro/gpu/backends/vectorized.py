@@ -50,6 +50,7 @@ from ..kernels import (
     record_pair_cost,
     resolve_pair_locals,
 )
+from ...graph.csr import pack_keys
 from .base import EPOCH_KERNELS
 
 __all__ = ["VectorizedBackend", "ScatterPlan", "PairPlan", "plan_scatter", "LEVELS"]
@@ -135,15 +136,19 @@ def _sum_columns(cells: np.ndarray) -> np.ndarray:
 def plan_scatter(idx: np.ndarray) -> ScatterPlan:
     """Build the :class:`ScatterPlan` for a non-negative index array.
 
-    Value-independent: the pipelined engine calls it on the producer thread.
+    One ``np.sort`` of the packed keys ``idx * m + position``
+    (:func:`~repro.graph.csr.pack_keys`) gives the order a stable argsort of
+    ``idx`` would: the quotient of each sorted key is the row, the remainder
+    its sample position.  Value-independent: the pipelined engine calls it on
+    the producer thread.
     """
     m = int(idx.size)
     if m == 0:
         return ScatterPlan(levels=(), tails=())
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    # Segment boundaries straight off the sorted array (np.unique would
-    # needlessly re-sort it).
+    keys = np.sort(pack_keys(idx, np.arange(m), int(idx.max()) + 1, m))
+    sorted_idx = keys // m
+    order = keys - sorted_idx * m
+    # Segment boundaries come straight off the sorted keys: no second sort.
     starts = np.concatenate(([0], np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1))
     lengths = np.diff(starts, append=m)
     levels = []
@@ -154,10 +159,11 @@ def plan_scatter(idx: np.ndarray) -> ScatterPlan:
     hub = lengths > LEVELS
     hub_starts, tail = starts[hub] + LEVELS, lengths[hub] - LEVELS
     # Bucket by padded width 2**ceil(log2(tail)), so every width < 2 * tail.
-    width = np.left_shift(1, np.frexp(tail - 1)[1].astype(np.int64))
+    log_width = np.frexp(tail - 1)[1]
     tails = []
-    for w in np.unique(width):
-        sel = width == w
+    for e in np.flatnonzero(np.bincount(log_width)):
+        sel = log_width == e
+        w = 1 << int(e)
         cols = np.arange(w)
         pos = hub_starts[sel, None] + cols
         real = cols < tail[sel, None]

@@ -20,7 +20,72 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CSRGraph", "coo_to_csr", "validate_csr"]
+__all__ = ["CSRGraph", "coo_to_csr", "csr_from_pair_keys", "pack_keys", "validate_csr"]
+
+#: Packed sort keys are non-negative int64, so every key must stay below this.
+_KEY_SPAN = 1 << 63
+
+
+def pack_keys(hi: np.ndarray, lo: np.ndarray, hi_bound: int, lo_bound: int) -> np.ndarray:
+    """Pack pairs into int64 sort keys ``hi * lo_bound + lo``.
+
+    For ``0 <= hi < hi_bound`` and ``0 <= lo < lo_bound`` every pair gets its
+    own key and keys order like the pairs do (by ``hi``, then ``lo``), so one
+    plain ``np.sort`` of the keys orders the pairs — with no index sort, no
+    multi-key sort and no tie-breaking to keep stable — and
+    ``divmod(key, lo_bound)`` reads each pair back.  The element ranges are
+    the caller's to guarantee.
+
+    Raises ``ValueError`` when ``hi_bound * lo_bound > 2**63`` — the keys
+    would wrap int64 — before any key is computed.  Vertex-pair keys
+    (``hi_bound == lo_bound == n``) therefore allow at most 3,037,000,499
+    vertices; position keys ``(id, position)`` allow, for instance, ids below
+    2**31 with up to 2**32 positions.
+    """
+    if int(hi_bound) * int(lo_bound) > _KEY_SPAN:
+        raise ValueError(
+            f"packed int64 sort keys need hi_bound * lo_bound <= 2**63, got "
+            f"{int(hi_bound):,} x {int(lo_bound):,} (vertex-pair keys allow at most "
+            f"3,037,000,499 vertices)"
+        )
+    return np.asarray(hi, dtype=np.int64) * np.int64(lo_bound) + lo
+
+
+def _check_endpoints(n_vertices: int, src: np.ndarray, dst: np.ndarray) -> None:
+    if src.shape != dst.shape:
+        raise ValueError(f"src and dst must have equal length, got {src.shape} vs {dst.shape}")
+    if src.size:
+        lo = min(src.min(), dst.min())
+        hi = max(src.max(), dst.max())
+        if lo < 0 or hi >= n_vertices:
+            raise ValueError(
+                f"edge endpoints must lie in [0, {n_vertices}), got range [{lo}, {hi}]"
+            )
+
+
+def _xadj(n_vertices: int, rows: np.ndarray) -> np.ndarray:
+    """Row offsets for arcs whose (grouped) source rows are ``rows``."""
+    xadj = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_vertices), out=xadj[1:])
+    return xadj
+
+
+def csr_from_pair_keys(n_vertices: int, keys: np.ndarray, *,
+                       dedup: bool) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(xadj, adj)`` from unsorted ``pack_keys(src, dst, n, n)`` keys.
+
+    One ``np.sort`` orders the arcs by source, then destination — every
+    neighbour list comes out sorted — and ``dedup`` drops repeated keys
+    straight off the sorted array.
+    """
+    keys = np.sort(keys)
+    if dedup and keys.size:
+        first = np.empty(keys.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+    src = keys // n_vertices
+    return _xadj(n_vertices, src), keys - src * n_vertices
 
 
 def coo_to_csr(
@@ -31,6 +96,11 @@ def coo_to_csr(
     sort_neighbors: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convert a COO edge list into CSR ``(xadj, adj)`` arrays.
+
+    One ``np.sort`` of packed int64 keys (:func:`pack_keys`) does the
+    ordering: ``src * n + dst`` when neighbour lists are sorted,
+    ``src * m + position`` when each row keeps the input order of its arcs
+    (the order a stable sort by ``src`` gives).  Duplicate arcs are kept.
 
     Parameters
     ----------
@@ -46,26 +116,13 @@ def coo_to_csr(
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    if src.shape != dst.shape:
-        raise ValueError(f"src and dst must have equal length, got {src.shape} vs {dst.shape}")
-    if src.size:
-        lo = min(src.min(), dst.min())
-        hi = max(src.max(), dst.max())
-        if lo < 0 or hi >= n_vertices:
-            raise ValueError(
-                f"edge endpoints must lie in [0, {n_vertices}), got range [{lo}, {hi}]"
-            )
-    counts = np.bincount(src, minlength=n_vertices)
-    xadj = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=xadj[1:])
-    order = np.argsort(src, kind="stable")
-    adj = dst[order]
-    if sort_neighbors and adj.size:
-        # Sort within each row: stable sort by dst after grouping by src.
-        row_of = src[order]
-        composite = np.lexsort((adj, row_of))
-        adj = adj[composite]
-    return xadj, adj
+    _check_endpoints(n_vertices, src, dst)
+    if sort_neighbors:
+        return csr_from_pair_keys(n_vertices, pack_keys(src, dst, n_vertices, n_vertices),
+                                  dedup=False)
+    m = max(src.shape[0], 1)
+    keys = np.sort(pack_keys(src, np.arange(src.shape[0]), n_vertices, m))
+    return _xadj(n_vertices, src), dst[keys % m]
 
 
 def validate_csr(xadj: np.ndarray, adj: np.ndarray, n_vertices: int) -> None:
@@ -130,6 +187,11 @@ class CSRGraph:
             Remove duplicate arcs.
         drop_self_loops:
             Remove ``(v, v)`` arcs, which carry no information for embedding.
+
+        The arcs are packed into ``src * n + dst`` keys (:func:`pack_keys`,
+        which raises ``ValueError`` above 3,037,000,499 vertices) and sorted
+        once; de-duplication and the CSR arrays come straight off the sorted
+        keys, and every neighbour list is sorted.
         """
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
         if arr.size == 0:
@@ -140,13 +202,12 @@ class CSRGraph:
         if drop_self_loops:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-        if undirected and src.size:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if dedup and src.size:
-            key = src * np.int64(n_vertices) + dst
-            _, unique_idx = np.unique(key, return_index=True)
-            src, dst = src[unique_idx], dst[unique_idx]
-        xadj, adj = coo_to_csr(n_vertices, src, dst)
+        _check_endpoints(n_vertices, src, dst)
+        # Packing checks the key range before anything |V|-sized is allocated.
+        keys = pack_keys(src, dst, n_vertices, n_vertices)
+        if undirected:
+            keys = np.concatenate([keys, pack_keys(dst, src, n_vertices, n_vertices)])
+        xadj, adj = csr_from_pair_keys(n_vertices, keys, dedup=dedup)
         return cls(xadj=xadj, adj=adj, num_vertices=n_vertices, undirected=undirected, name=name)
 
     @classmethod
