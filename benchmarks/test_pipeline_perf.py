@@ -10,9 +10,9 @@ The workload is chosen so production carries a realistic share of the work
 — ``degree_biased`` sampling (weighted searchsorted draws), B = 20 positive
 samples per vertex, small-dimension embeddings — mirroring the paper's
 regime where host-side sampling is substantial next to device kernels.  On
-this workload the producer (pool build + direction split + scatter-plan
-preparation + negative pre-draws) accounts for ~40% of sequential
-wall-clock, an ideal overlap ceiling of ~1.7×; the floor leaves headroom
+this workload the producer (pool build + scatter-plan preparation +
+negative pre-draws) accounts for ~40-50% of sequential wall-clock, an
+ideal overlap ceiling of ~1.7-2×; the floor leaves headroom
 for imperfect overlap on a busy runner.
 
 Thread overlap needs a second core: the test skips (rather than fails) on

@@ -26,9 +26,23 @@ backend computes whole sample-rounds as single batched NumPy expressions:
 The pair kernel keeps *accumulation* semantics for its conflicts (positive
 pools repeat each source ``B`` times, so dropping conflicting updates would
 change training quality).  Its scatters are bit-identical to ``np.add.at``
-in sample order, computed from a precomputed :class:`ScatterPlan` of
-duplicate-rank levels and degree-bucketed hub tails instead of by
-``np.add.at`` itself.
+in sample order without calling ``np.add.at``:
+
+* **Source side, no plan.**  Prepared launches take their positive sources
+  in the sampler's source-major layout — strictly increasing local rows,
+  each owning ``B`` consecutive samples (the paper kernel's one source
+  vertex per warp).  :func:`scatter_rows` gathers each row once, adds its
+  ``B`` updates left to right and writes it back: ``np.add.at``'s order,
+  with no sort and no conflicts.  Negative rounds use every row of part A
+  once, so they need no resolution either.
+* **Destination and negative sides, planned.**  Those indices repeat in
+  any order, so they go through a :class:`ScatterPlan` of duplicate-rank
+  levels and degree-bucketed hub tails, built on the pipelined engine's
+  producer thread.
+
+Unprepared calls with arbitrary ``(pos_src, pos_dst)`` pairs plan the
+source side too; they are bit-identical to a prepared launch of the same
+samples.
 
 Parity with the reference backend is pinned by
 ``tests/gpu/test_kernel_backends.py``; the documented tolerances are
@@ -48,12 +62,14 @@ from ..kernels import (
     SigmoidTable,
     record_epoch_cost,
     record_pair_cost,
+    resolve_locals,
     resolve_pair_locals,
 )
 from ...graph.csr import pack_keys
 from .base import EPOCH_KERNELS
 
-__all__ = ["VectorizedBackend", "ScatterPlan", "PairPlan", "plan_scatter", "LEVELS"]
+__all__ = ["VectorizedBackend", "ScatterPlan", "PairPlan", "plan_scatter", "scatter_rows",
+           "check_rows", "LEVELS"]
 
 
 #: Occurrence ranks handled by plain fancy adds; longer (hub) segments put
@@ -74,11 +90,14 @@ class TailBucket:
 class ScatterPlan:
     """Precomputed index structure for ``np.add.at(target, idx, updates)``.
 
-    The result is bit-identical to ``np.add.at`` in sample order: each target
-    row receives its duplicate updates one at a time, left to right.  A plan
-    depends only on ``idx``, never on the update values, so the pipelined
-    large-graph engine builds plans on the producer thread while the consumer
-    applies them against live sub-matrices.
+    The pair kernel plans the indices that repeat in arbitrary order: the
+    positive destinations and every negative round's targets.  (Positive
+    sources arrive source-major and go through :func:`scatter_rows`
+    instead.)  The result is bit-identical to ``np.add.at`` in sample order:
+    each target row receives its duplicate updates one at a time, left to
+    right.  A plan depends only on ``idx``, never on the update values, so
+    the pipelined large-graph engine builds plans on the producer thread
+    while the consumer applies them against live sub-matrices.
 
     After a stable sort of ``idx`` each distinct row is a segment of its
     occurrences.  Level ``r`` holds the segments longer than ``r`` with the
@@ -173,30 +192,62 @@ def plan_scatter(idx: np.ndarray) -> ScatterPlan:
     return ScatterPlan(levels=tuple(levels), tails=tuple(tails))
 
 
+def check_rows(rows: np.ndarray, size: int) -> None:
+    """Raise ``KeyError`` unless ``rows`` strictly increase within ``[0, size)``.
+
+    The O(n) guard of the source-major path: it is what makes the rows of
+    :func:`scatter_rows` unique, and what the destination side's round-trip
+    check proves for global ids.
+    """
+    if rows.size and (int(rows[0]) < 0 or int(rows[-1]) >= size
+                      or not (rows[1:] > rows[:-1]).all()):
+        raise KeyError("src_rows: not strictly increasing rows of the resident part")
+
+
+def scatter_rows(target: np.ndarray, rows: np.ndarray, B: int,
+                 updates: np.ndarray) -> None:
+    """``np.add.at(target, np.repeat(rows, B), updates)`` for source-major rows.
+
+    ``rows`` must strictly increase (:func:`check_rows`), so each is written
+    once: gather the rows, add their ``B`` update columns left to right, and
+    write them back.  Every row sees ``t + u0 + u1 + ...`` — ``np.add.at``'s
+    sample order — so the result is bit-identical, signed zeros included.
+    """
+    if rows.size == 0:
+        return
+    cols = updates.reshape(rows.shape[0], B, *updates.shape[1:])
+    acc = np.take(target, rows, axis=0)
+    for j in range(B):
+        acc += cols[:, j]
+    target[rows] = acc
+
+
 @dataclass(frozen=True)
 class PairPlan:
     """Device-ready preparation of one pair-kernel launch.
 
     Everything ``train_pair`` needs that does *not* read embedding values:
-    resolved local index arrays, scatter plans for the positive rounds, and
-    the pre-drawn negative targets (one row per round) with their plans.
-    Built by :meth:`VectorizedBackend.prepare_pair` — on the pipelined
-    engine's producer thread — and consumed by passing ``plan=`` to
+    the positive sources as source-major ``src_rows`` (strictly increasing
+    local rows of part A, ``B`` consecutive samples each — no scatter plan),
+    the destinations' local rows and scatter plan, and the pre-drawn
+    negative targets (one row per round) with their plans.  Built by
+    :meth:`VectorizedBackend.prepare_pair` — on the pipelined engine's
+    producer thread — and consumed by passing ``plan=`` to
     :meth:`VectorizedBackend.train_pair`, which is then bit-identical to the
-    unprepared call with the same generator (the plan drew the same negative
-    stream the kernel would have drawn inline).
+    unprepared call on the expanded pairs with the same generator (the plan
+    drew the same negative stream the kernel would have drawn inline).
     """
 
-    local_src: np.ndarray
+    src_rows: np.ndarray
+    B: int
     local_dst: np.ndarray
-    pos_src_scatter: ScatterPlan
     pos_dst_scatter: ScatterPlan
     neg_targets: np.ndarray          # (rounds, |part_a|) pre-drawn negatives
     neg_scatters: tuple[ScatterPlan, ...]
 
     def nbytes(self) -> int:
-        arrays = [self.local_src, self.local_dst, self.neg_targets]
-        plans = (self.pos_src_scatter, self.pos_dst_scatter, *self.neg_scatters)
+        arrays = [self.src_rows, self.local_dst, self.neg_targets]
+        plans = (self.pos_dst_scatter, *self.neg_scatters)
         return int(sum(a.nbytes for a in arrays)) + sum(p.nbytes() for p in plans)
 
 
@@ -298,33 +349,41 @@ class VectorizedBackend:
     # ------------------------------------------------------------------ #
     # Pair kernel (large-graph engine)
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _draw_negatives(part_a: np.ndarray, part_b: np.ndarray, ns: int,
+                        rng: np.random.Generator) -> np.ndarray:
+        """One ``integers(0, |part_b|, |part_a|)`` row per negative round."""
+        if not (ns > 0 and part_a.shape[0] and part_b.shape[0]):
+            return np.zeros((0, part_a.shape[0]), dtype=np.int64)
+        return np.stack([rng.integers(0, part_b.shape[0], size=part_a.shape[0])
+                         for _ in range(ns)])
+
     def prepare_pair(self, part_a: np.ndarray, part_b: np.ndarray,
-                     pos_src: np.ndarray, pos_dst: np.ndarray,
+                     src_rows: np.ndarray, B: int, pos_dst: np.ndarray,
                      ns: int, rng: np.random.Generator, *,
-                     index_a: np.ndarray | None = None,
                      index_b: np.ndarray | None = None) -> PairPlan:
         """Precompute the value-independent half of one ``train_pair`` call.
 
-        Resolves the global→local index maps, builds the scatter plans for
-        the positive rounds, and pre-draws the negative rounds from ``rng``
-        — consuming it exactly as the inline kernel would (one
-        ``integers(0, |part_b|, |part_a|)`` call per round), so a prepared
-        launch and an unprepared launch sharing a generator produce
+        Takes the positives source-major, as the samplers draw them:
+        ``src_rows`` (strictly increasing local rows of ``part_a``) each own
+        ``B`` consecutive entries of ``pos_dst`` (global ids in ``part_b``).
+        The source side is only checked (:func:`check_rows`, O(n)) — no
+        global→local lookup and no scatter plan; the destinations are
+        resolved through ``index_b`` with the round-trip check and planned.
+        Then the negative rounds are pre-drawn from ``rng``, consuming it
+        exactly as the inline kernel would, so a prepared launch and an
+        unprepared launch of the expanded pairs sharing a generator produce
         bit-identical embeddings.  Reads no embedding data, which is what
         lets the pipelined engine run it on the pool-producer thread.
         """
-        if pos_src.shape[0] != pos_dst.shape[0]:
-            raise ValueError("pos_src and pos_dst must have equal length")
-        local_src, local_dst = resolve_pair_locals(pos_src, pos_dst, part_a, part_b,
-                                                   index_a, index_b)
-        rounds = ns if (ns > 0 and part_a.shape[0] and part_b.shape[0]) else 0
-        neg_targets = np.stack([
-            rng.integers(0, part_b.shape[0], size=part_a.shape[0])
-            for _ in range(rounds)
-        ]) if rounds else np.zeros((0, part_a.shape[0]), dtype=np.int64)
+        B = int(B)
+        if pos_dst.shape[0] != src_rows.shape[0] * B:
+            raise ValueError("pos_dst must hold B samples per source row")
+        check_rows(src_rows, part_a.shape[0])
+        local_dst = resolve_locals(pos_dst, part_b, index_b, "pos_dst/part_b")
+        neg_targets = self._draw_negatives(part_a, part_b, ns, rng)
         return PairPlan(
-            local_src=local_src, local_dst=local_dst,
-            pos_src_scatter=plan_scatter(local_src),
+            src_rows=src_rows, B=B, local_dst=local_dst,
             pos_dst_scatter=plan_scatter(local_dst),
             neg_targets=neg_targets,
             neg_scatters=tuple(plan_scatter(row) for row in neg_targets),
@@ -332,25 +391,39 @@ class VectorizedBackend:
 
     def train_pair(self, part_a: np.ndarray, part_b: np.ndarray,
                    sub_a: np.ndarray, sub_b: np.ndarray,
-                   pos_src: np.ndarray, pos_dst: np.ndarray,
+                   pos_src: np.ndarray | None, pos_dst: np.ndarray | None,
                    ns: int, lr: float, rng: np.random.Generator, *,
                    device: SimulatedDevice | None = None,
                    warp_config: WarpConfig | None = None,
                    index_a: np.ndarray | None = None,
                    index_b: np.ndarray | None = None,
                    plan: PairPlan | None = None) -> None:
-        if plan is None:
-            plan = self.prepare_pair(part_a, part_b, pos_src, pos_dst, ns, rng,
-                                     index_a=index_a, index_b=index_b)
-        sig = self._sig
-        local_src, local_dst = plan.local_src, plan.local_dst
+        """One pair launch; with ``plan`` the positional pairs are ignored.
 
+        Without a plan, ``(pos_src, pos_dst)`` may be arbitrary global pairs:
+        both sides are resolved and planned, and the negatives drawn, inline.
+        """
+        if plan is None:
+            if pos_src.shape[0] != pos_dst.shape[0]:
+                raise ValueError("pos_src and pos_dst must have equal length")
+            local_src, local_dst = resolve_pair_locals(pos_src, pos_dst, part_a, part_b,
+                                                       index_a, index_b)
+            neg_targets = self._draw_negatives(part_a, part_b, ns, rng)
+            neg_scatters = [plan_scatter(row) for row in neg_targets]
+            src_scatter, dst_scatter = plan_scatter(local_src), plan_scatter(local_dst)
+        else:
+            local_src, local_dst = np.repeat(plan.src_rows, plan.B), plan.local_dst
+            src_scatter, dst_scatter = None, plan.pos_dst_scatter
+            neg_targets, neg_scatters = plan.neg_targets, plan.neg_scatters
+
+        sig = self._sig
         # Positive updates: scores from the pre-update vectors, conflicts
         # accumulated exactly as np.add.at would (positive pools repeat
         # every source B times — dropping those would lose training signal,
         # so last-writer-wins is wrong here).  With the float32 LUT the
         # scores share the matrices' dtype, so the in-place steps round
-        # exactly like ``new_src = src + dst * s`` and its products.
+        # exactly like ``new_src = src + dst * s`` and its products.  The
+        # source scatter runs first: on a diagonal pair ``sub_a is sub_b``.
         if local_src.size:
             src_vecs = np.take(sub_a, local_src, axis=0)
             dst_vecs = np.take(sub_b, local_dst, axis=0)
@@ -358,18 +431,21 @@ class VectorizedBackend:
             dst_vecs *= scores[:, None]
             src_vecs += dst_vecs
             src_vecs *= scores[:, None]
-            plan.pos_src_scatter.apply(sub_a, dst_vecs)
-            plan.pos_dst_scatter.apply(sub_b, src_vecs)
+            if src_scatter is None:
+                scatter_rows(sub_a, plan.src_rows, plan.B, dst_vecs)
+            else:
+                src_scatter.apply(sub_a, dst_vecs)
+            dst_scatter.apply(sub_b, src_vecs)
 
         # Negative rounds: one per ns, sources are every vertex of part A
         # (unique, so the source side needs no conflict resolution at all).
-        for neg_targets, neg_scatter in zip(plan.neg_targets, plan.neg_scatters):
-            dst_vecs = np.take(sub_b, neg_targets, axis=0)
+        for targets, scatter in zip(neg_targets, neg_scatters):
+            dst_vecs = np.take(sub_b, targets, axis=0)
             scores = (0.0 - sig(np.einsum("ij,ij->i", sub_a, dst_vecs))) * lr
             # sub_a after the in-place add is the updated source vector.
             dst_vecs *= scores[:, None]
             sub_a += dst_vecs
-            neg_scatter.apply(sub_b, sub_a * scores[:, None])
+            scatter.apply(sub_b, sub_a * scores[:, None])
 
         record_pair_cost(device, local_src.shape[0], part_a.shape[0], ns,
                          sub_a.shape[1], warp_config=warp_config)

@@ -210,35 +210,44 @@ def build_index_lookup(part: np.ndarray, size: int | None = None) -> np.ndarray:
     return lookup
 
 
-def resolve_pair_locals(pos_src: np.ndarray, pos_dst: np.ndarray,
-                        part_a: np.ndarray, part_b: np.ndarray,
-                        index_a: np.ndarray | None,
-                        index_b: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Map global positive-pair ids to local sub-matrix rows (both backends).
+def resolve_locals(ids: np.ndarray, part: np.ndarray, index: np.ndarray | None,
+                   name: str) -> np.ndarray:
+    """Map global ids to local rows of ``part`` through a lookup array.
 
-    Ids outside the parts raise ``KeyError`` — the contract the per-call
+    Ids outside ``part`` raise ``KeyError`` — the contract the per-call
     ``dict`` maps used to enforce.  The check is a round-trip
     (``part[local] == global``) rather than a ``>= 0`` test because the
     scheduler passes one *partition-wide* lookup array, in which an id from
     the wrong part still resolves to a non-negative row — of the wrong
     sub-matrix — and would otherwise corrupt it silently.
     """
+    if index is None:
+        index = build_index_lookup(part)
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= index.shape[0]):
+        raise KeyError(f"{name}: positive-pair ids outside the lookup range")
+    local = index[ids].astype(np.int64, copy=False)
+    if local.size and (
+            (local < 0).any() or int(local.max()) >= part.shape[0]
+            or not np.array_equal(part[local], ids)):
+        raise KeyError(f"{name}: positive-pair ids outside the resident part")
+    return local
+
+
+def resolve_pair_locals(pos_src: np.ndarray, pos_dst: np.ndarray,
+                        part_a: np.ndarray, part_b: np.ndarray,
+                        index_a: np.ndarray | None,
+                        index_b: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Map global positive-pair ids to local sub-matrix rows (both backends).
+
+    :func:`resolve_locals` for each side; a diagonal pair (``part_b is
+    part_a``) builds one lookup for both when none is given.
+    """
     if index_a is None:
         index_a = build_index_lookup(part_a)
     if index_b is None:
         index_b = index_a if part_b is part_a else build_index_lookup(part_b)
-    for glob, lookup, name in ((pos_src, index_a, "pos_src"), (pos_dst, index_b, "pos_dst")):
-        if glob.size and (int(glob.min()) < 0 or int(glob.max()) >= lookup.shape[0]):
-            raise KeyError(f"{name}: positive-pair ids outside the lookup range")
-    local_src = index_a[pos_src].astype(np.int64, copy=False)
-    local_dst = index_b[pos_dst].astype(np.int64, copy=False)
-    for local, glob, part, name in ((local_src, pos_src, part_a, "pos_src/part_a"),
-                                    (local_dst, pos_dst, part_b, "pos_dst/part_b")):
-        if local.size and (
-                (local < 0).any() or int(local.max()) >= part.shape[0]
-                or not np.array_equal(part[local], glob)):
-            raise KeyError(f"{name}: positive-pair ids outside the resident part")
-    return local_src, local_dst
+    return (resolve_locals(pos_src, part_a, index_a, "pos_src/part_a"),
+            resolve_locals(pos_dst, part_b, index_b, "pos_dst/part_b"))
 
 
 def record_epoch_cost(device: SimulatedDevice | None, kernel: str,

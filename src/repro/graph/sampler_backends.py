@@ -22,15 +22,27 @@ layer in :mod:`repro.gpu.backends`:
   weight profile, so it shares the batched machinery without sharing the
   uniform-draw semantics (no reference-parity claim).
 
-**Exact parity.**  Both backends consume randomness identically: one row of
-``count_per_vertex`` float64 uniforms per *eligible* vertex (a vertex with at
-least one neighbour inside the partner part), mapped to a neighbour index
-with ``floor(u * count)``.  NumPy's ``Generator.random`` fills arrays
-sequentially from the bit stream, so the reference loop's per-vertex
-``rng.random(B)`` calls and the vectorized backend's single
-``rng.random((n_eligible, B))`` draw produce bit-identical uniforms — the
-two backends therefore return *identical* ``(src, dst)`` arrays from a
-shared seeded Generator.  Parity is pinned by
+**Source-major output.**  Every backend returns one direction as
+``(rows, dst)``: ``rows`` are the local rows (positions in
+``part_vertices``) of the *eligible* vertices — those with at least one
+neighbour inside the partner part — strictly increasing, and ``dst`` holds
+``len(rows) * count_per_vertex`` partner ids, each row's ``B`` draws
+consecutive and in row order.  That is the layout of the paper's large-graph
+kernel, one source vertex's ``B`` samples to one warp: the kernel gathers and
+writes back each source row once, with no scatter plan for the source side.
+:meth:`~repro.graph.samplers.PositiveSampler.sample_pairs_for_part` expands
+``(np.repeat(part_vertices[rows], B), dst)`` for callers that want flat pairs.
+
+**Exact parity.**  The uniform backends consume randomness identically: one
+row of ``count_per_vertex`` float64 uniforms per eligible vertex, in row
+order, mapped to a neighbour index with ``floor(u * count)``.  NumPy's
+``Generator.random`` fills arrays sequentially from the bit stream, so the
+reference loop's per-vertex ``rng.random(B)`` calls and the vectorized
+backend's single ``rng.random((n_eligible, B))`` draw produce bit-identical
+uniforms — the two backends therefore return *identical* ``(rows, dst)``
+arrays from a shared seeded Generator.  ``degree_biased`` draws the same
+uniforms and returns the same ``rows`` (eligibility does not depend on the
+weights), but maps the uniforms to other neighbours.  Parity is pinned by
 ``tests/graph/test_sampler_backends.py``.  (``floor(u * count)`` deviates
 from a perfectly uniform draw by less than ``count * 2**-53`` per bucket —
 negligible against the paper's "almost equivalent to B×K epochs" caveat.)
@@ -45,6 +57,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from ..registry import Registry, UnknownNameError
+from .csr import pack_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .csr import CSRGraph
@@ -54,6 +67,7 @@ __all__ = [
     "FilteredAdjacency",
     "FilteredAdjacencyCache",
     "build_filtered_adjacency",
+    "build_filtered_adjacencies",
     "SamplerBackend",
     "ReferenceSamplerBackend",
     "VectorizedSamplerBackend",
@@ -67,7 +81,7 @@ __all__ = [
 ]
 
 
-def _empty_pairs() -> tuple[np.ndarray, np.ndarray]:
+def _empty_rows() -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
 
@@ -107,6 +121,16 @@ class FilteredAdjacency:
         return int(self.vertices.nbytes + self.offsets.nbytes + self.targets.nbytes)
 
 
+def _gather_rows(graph: "CSRGraph", vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees of ``vertices`` and their concatenated CSR rows, in row order."""
+    xadj = graph.xadj
+    deg = xadj[vertices + 1] - xadj[vertices]
+    # Position of every entry inside ``adj``: its row's start plus its offset
+    # within the row, i.e. a running index shifted per row.
+    shift = np.repeat(xadj[vertices] - (np.cumsum(deg) - deg), deg)
+    return deg, graph.adj[np.arange(shift.shape[0], dtype=np.int64) + shift]
+
+
 def build_filtered_adjacency(graph: "CSRGraph", part_vertices: np.ndarray,
                              partner_mask: np.ndarray) -> FilteredAdjacency:
     """Build the filtered sub-CSR for one (part, partner-part) direction.
@@ -117,17 +141,10 @@ def build_filtered_adjacency(graph: "CSRGraph", part_vertices: np.ndarray,
     """
     vertices = np.asarray(part_vertices, dtype=np.int64)
     offsets = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
-    xadj, adj = graph.xadj, graph.adj
-    deg = xadj[vertices + 1] - xadj[vertices]
-    total = int(deg.sum())
-    if total == 0:
+    deg, nbrs = _gather_rows(graph, vertices)
+    if nbrs.shape[0] == 0:
         return FilteredAdjacency(vertices=vertices, offsets=offsets,
                                  targets=np.zeros(0, dtype=np.int64))
-    # Positions of every neighbour entry of the part inside ``adj``:
-    # row start repeated per entry, plus the entry's offset within its row.
-    row_starts = np.repeat(xadj[vertices], deg)
-    within_row = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(deg) - deg, deg)
-    nbrs = adj[row_starts + within_row]
     keep = partner_mask[nbrs]
     row_ids = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), deg)
     fcounts = np.bincount(row_ids[keep], minlength=vertices.shape[0])
@@ -135,24 +152,65 @@ def build_filtered_adjacency(graph: "CSRGraph", part_vertices: np.ndarray,
     return FilteredAdjacency(vertices=vertices, offsets=offsets, targets=nbrs[keep])
 
 
+def build_filtered_adjacencies(graph: "CSRGraph", part_vertices: np.ndarray,
+                               part_of: np.ndarray, num_parts: int) -> list[FilteredAdjacency]:
+    """Every partner part's filtered sub-CSR of one part, from one pass.
+
+    Entry ``k`` equals ``build_filtered_adjacency(graph, part_vertices,
+    part_of == k)`` byte for byte, but the part's rows are gathered once for
+    all ``num_parts`` partners instead of once per partner.  One ``np.sort``
+    of the packed keys ``(part_of[nbr], position)`` groups the arcs by
+    partner part and keeps each group in row order, within-row order
+    included; one ``bincount`` of ``(partner, row)`` gives every group's row
+    counts.
+    """
+    vertices = np.asarray(part_vertices, dtype=np.int64)
+    n = vertices.shape[0]
+    deg, nbrs = _gather_rows(graph, vertices)
+    total = nbrs.shape[0]
+    partner = np.asarray(part_of, dtype=np.int64)[nbrs]
+    sizes = np.bincount(partner, minlength=num_parts)
+    keys = np.sort(pack_keys(partner, np.arange(total), num_parts, max(total, 1)))
+    # The sorted keys run partner by partner, ``sizes[k]`` of each: subtract
+    # each run's ``k * total`` to read the positions back without a division.
+    keys -= np.repeat(np.arange(num_parts, dtype=np.int64) * total, sizes)
+    targets = nbrs[keys]
+    bounds = np.zeros(num_parts + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    row_ids = np.repeat(np.arange(n, dtype=np.int64), deg)
+    counts = np.bincount(partner * n + row_ids, minlength=num_parts * n)
+    offsets = np.zeros((num_parts, n + 1), dtype=np.int64)
+    np.cumsum(counts.reshape(num_parts, n), axis=1, out=offsets[:, 1:])
+    return [FilteredAdjacency(vertices=vertices, offsets=offsets[k],
+                              targets=targets[bounds[k]:bounds[k + 1]])
+            for k in range(num_parts)]
+
+
 class FilteredAdjacencyCache:
-    """Per-``(from_part, to_part)`` filtered sub-CSRs, built once and reused.
+    """Filtered sub-CSRs per ``(from_part, to_part)``, built once and reused.
 
     Keyed like :meth:`~repro.graph.partition.VertexPartition.global_to_local`:
     the cache belongs to one (graph, partition) pair, so every rotation of the
     large-graph engine reuses the same filtered neighbour lists instead of
     re-masking the adjacency on every pool build.
 
+    The first ``get`` for a ``from_part`` runs :func:`build_filtered_adjacencies`
+    — one gather of that part's arcs — and caches the sub-CSRs for *every*
+    partner part at once, so a level with ``K`` parts reads its arcs ``K``
+    times, not ``K**2``.  ``builds`` counts those per-part passes (at most
+    ``K`` per cache), ``entries`` the parts cached (each holding ``K``
+    sub-CSRs), and ``hits`` the ``get`` calls served without a pass.
+
     Thread-safe: the pipelined large-graph engine builds pools on a producer
     thread while on-demand ``acquire`` misses may build on the consumer, so
     lookup-or-build runs under a lock (entries are immutable once built and a
-    one-time build per direction is cheap enough to serialise).
+    one-time pass per part is cheap enough to serialise).
     """
 
     def __init__(self, graph: "CSRGraph", partition: "VertexPartition"):
         self.graph = graph
         self.partition = partition
-        self._entries: dict[tuple[int, int], FilteredAdjacency] = {}
+        self._entries: dict[int, list[FilteredAdjacency]] = {}
         self._masks: dict[int, np.ndarray] = {}
         self._lock = threading.RLock()
         self.builds = 0
@@ -167,21 +225,24 @@ class FilteredAdjacencyCache:
             return mask
 
     def get(self, from_part: int, to_part: int) -> FilteredAdjacency:
-        key = (from_part, to_part)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            entries = self._entries.get(from_part)
+            if entries is None:
                 self.builds += 1
-                entry = build_filtered_adjacency(
-                    self.graph, self.partition.parts[from_part], self.mask(to_part))
-                self._entries[key] = entry
+                entries = build_filtered_adjacencies(
+                    self.graph, self.partition.parts[from_part],
+                    self.partition.part_of, self.partition.num_parts)
+                self._entries[from_part] = entries
             else:
                 self.hits += 1
-            return entry
+            return entries[to_part]
 
     def nbytes(self) -> int:
         with self._lock:
-            return sum(entry.nbytes() for entry in self._entries.values())
+            # The K sub-CSRs of one part share its vertex array: count it once.
+            return int(sum(entries[0].vertices.nbytes
+                           + sum(e.offsets.nbytes + e.targets.nbytes for e in entries)
+                           for entries in self._entries.values()))
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -199,9 +260,14 @@ class SamplerBackend(Protocol):
     Implementations draw, for every vertex of ``part_vertices`` with at least
     one neighbour inside the partner part, exactly ``count_per_vertex``
     neighbours from that filtered list (with replacement); other vertices
-    contribute no pairs — the paper's "almost equivalent to B×K epochs"
+    contribute no samples — the paper's "almost equivalent to B×K epochs"
     caveat.  ``filtered``, when given, is a prebuilt :class:`FilteredAdjacency`
     for exactly ``(part_vertices, partner_mask)``.
+
+    The result is source-major ``(rows, dst)``: ``rows`` are the eligible
+    vertices' positions in ``part_vertices``, strictly increasing, and
+    ``dst`` their ``len(rows) * count_per_vertex`` draws, ``B`` per row in
+    row order.
     """
 
     name: str
@@ -210,11 +276,11 @@ class SamplerBackend(Protocol):
     #: build entirely for backends that declare ``False``.
     uses_filtered_adjacency: bool
 
-    def sample_pairs(self, graph: "CSRGraph", part_vertices: np.ndarray,
-                     partner_mask: np.ndarray, count_per_vertex: int,
-                     rng: np.random.Generator, *,
-                     filtered: FilteredAdjacency | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def sample_rows(self, graph: "CSRGraph", part_vertices: np.ndarray,
+                    partner_mask: np.ndarray, count_per_vertex: int,
+                    rng: np.random.Generator, *,
+                    filtered: FilteredAdjacency | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
         ...  # pragma: no cover - protocol
 
 
@@ -229,28 +295,27 @@ class ReferenceSamplerBackend:
     name = "reference"
     uses_filtered_adjacency = False
 
-    def sample_pairs(self, graph: "CSRGraph", part_vertices: np.ndarray,
-                     partner_mask: np.ndarray, count_per_vertex: int,
-                     rng: np.random.Generator, *,
-                     filtered: FilteredAdjacency | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def sample_rows(self, graph: "CSRGraph", part_vertices: np.ndarray,
+                    partner_mask: np.ndarray, count_per_vertex: int,
+                    rng: np.random.Generator, *,
+                    filtered: FilteredAdjacency | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
         del filtered  # the oracle always walks the graph itself
-        srcs: list[np.ndarray] = []
+        rows: list[int] = []
         dsts: list[np.ndarray] = []
         B = int(count_per_vertex)
-        for v in np.asarray(part_vertices, dtype=np.int64):
+        if B == 0:
+            return _empty_rows()
+        for row, v in enumerate(np.asarray(part_vertices, dtype=np.int64)):
             nbrs = graph.neighbors(int(v))
-            if nbrs.shape[0] == 0:
-                continue
             valid = nbrs[partner_mask[nbrs]]
             if valid.shape[0] == 0:
                 continue
-            picks = valid[pick_indices(rng.random(B), valid.shape[0])]
-            srcs.append(np.full(B, v, dtype=np.int64))
-            dsts.append(picks)
-        if not srcs:
-            return _empty_pairs()
-        return np.concatenate(srcs), np.concatenate(dsts)
+            rows.append(row)
+            dsts.append(valid[pick_indices(rng.random(B), valid.shape[0])])
+        if not rows:
+            return _empty_rows()
+        return np.array(rows, dtype=np.int64), np.concatenate(dsts)
 
 
 class VectorizedSamplerBackend:
@@ -265,23 +330,20 @@ class VectorizedSamplerBackend:
     name = "vectorized"
     uses_filtered_adjacency = True
 
-    def sample_pairs(self, graph: "CSRGraph", part_vertices: np.ndarray,
-                     partner_mask: np.ndarray, count_per_vertex: int,
-                     rng: np.random.Generator, *,
-                     filtered: FilteredAdjacency | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def sample_rows(self, graph: "CSRGraph", part_vertices: np.ndarray,
+                    partner_mask: np.ndarray, count_per_vertex: int,
+                    rng: np.random.Generator, *,
+                    filtered: FilteredAdjacency | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
         if filtered is None:
             filtered = build_filtered_adjacency(graph, part_vertices, partner_mask)
         counts = filtered.counts
-        eligible = np.flatnonzero(counts > 0)
+        rows = np.flatnonzero(counts > 0)
         B = int(count_per_vertex)
-        if eligible.shape[0] == 0 or B == 0:
-            return _empty_pairs()
-        ecounts = counts[eligible][:, None]
-        idx = pick_indices(rng.random((eligible.shape[0], B)), ecounts)
-        dst = filtered.targets[filtered.offsets[eligible][:, None] + idx].ravel()
-        src = np.repeat(filtered.vertices[eligible], B)
-        return src, dst
+        if rows.shape[0] == 0 or B == 0:
+            return _empty_rows()
+        idx = pick_indices(rng.random((rows.shape[0], B)), counts[rows][:, None])
+        return rows, filtered.targets[filtered.offsets[rows][:, None] + idx].ravel()
 
 
 class DegreeBiasedSamplerBackend:
@@ -302,35 +364,33 @@ class DegreeBiasedSamplerBackend:
     def __init__(self, power: float = 0.75):
         self.power = float(power)
 
-    def sample_pairs(self, graph: "CSRGraph", part_vertices: np.ndarray,
-                     partner_mask: np.ndarray, count_per_vertex: int,
-                     rng: np.random.Generator, *,
-                     filtered: FilteredAdjacency | None = None,
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def sample_rows(self, graph: "CSRGraph", part_vertices: np.ndarray,
+                    partner_mask: np.ndarray, count_per_vertex: int,
+                    rng: np.random.Generator, *,
+                    filtered: FilteredAdjacency | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
         if filtered is None:
             filtered = build_filtered_adjacency(graph, part_vertices, partner_mask)
         counts = filtered.counts
-        eligible = np.flatnonzero(counts > 0)
+        rows = np.flatnonzero(counts > 0)
         B = int(count_per_vertex)
-        if eligible.shape[0] == 0 or B == 0:
-            return _empty_pairs()
+        if rows.shape[0] == 0 or B == 0:
+            return _empty_rows()
         targets = filtered.targets
         deg = (graph.xadj[targets + 1] - graph.xadj[targets]).astype(np.float64)
         # cumw[j] = total weight of targets[:j]; one prepended zero makes the
         # per-row slice [cumw[start], cumw[end]) addressable without branches.
         cumw = np.concatenate(([0.0], np.cumsum(deg ** self.power)))
-        starts = filtered.offsets[eligible]
+        starts = filtered.offsets[rows]
         lo = cumw[starts][:, None]
-        span = cumw[starts + counts[eligible]][:, None] - lo
-        u = rng.random((eligible.shape[0], B))
+        span = cumw[starts + counts[rows]][:, None] - lo
+        u = rng.random((rows.shape[0], B))
         # Row-relative weighted pick: position of lo + u*span inside the global
         # cumulative profile, clipped to the row in case of float round-up.
         idx = np.searchsorted(cumw[1:], lo + u * span, side="right")
         idx = np.minimum(np.maximum(idx, starts[:, None]),
-                         (starts + counts[eligible] - 1)[:, None])
-        dst = targets[idx].ravel()
-        src = np.repeat(filtered.vertices[eligible], B)
-        return src, dst
+                         (starts + counts[rows] - 1)[:, None])
+        return rows, targets[idx].ravel()
 
 
 # --------------------------------------------------------------------------- #

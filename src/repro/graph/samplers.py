@@ -167,13 +167,16 @@ class PositiveSampler:
         in the partner part contribute no pairs — the paper's "almost
         equivalent to B x K epochs" caveat.
 
-        Delegates to the configured sampler backend; every backend draws
+        Delegates to the configured sampler backend and expands its
+        source-major ``(rows, dst)`` into flat global pairs
+        ``(np.repeat(part_a[rows], B), dst)``; the uniform backends draw
         identical pairs from a shared seeded RNG (see
         :mod:`repro.graph.sampler_backends`).
         """
         part_a = np.asarray(part_a, dtype=np.int64)
-        return self.backend.sample_pairs(self.graph, part_a, part_b_mask,
-                                         count_per_vertex, self.rng)
+        rows, dst = self.backend.sample_rows(self.graph, part_a, part_b_mask,
+                                             count_per_vertex, self.rng)
+        return np.repeat(part_a[rows], int(count_per_vertex)), dst
 
 
 class NegativeSampler:

@@ -17,7 +17,7 @@ from .pipeline import (
     kernel_rng,
 )
 from .rotation import count_switches, inside_out_order, naive_order, validate_rotation_cover
-from .sample_pool import SamplePool, SamplePoolManager, pool_rng
+from .sample_pool import PoolDirection, SamplePool, SamplePoolManager, pool_rng
 from .scheduler import (
     LargeGraphConfig,
     LargeGraphStats,
@@ -31,6 +31,7 @@ __all__ = [
     "inside_out_order",
     "naive_order",
     "validate_rotation_cover",
+    "PoolDirection",
     "SamplePool",
     "SamplePoolManager",
     "pool_rng",

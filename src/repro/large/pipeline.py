@@ -7,9 +7,10 @@ pools were built inline, immediately before the kernel that needed them.
 This module makes it real:
 
 * :class:`PipelinedExecutor` (``execution_mode="pipelined"``, the default)
-  runs pool production on a background thread: pools are built, split by
-  direction, and *prepared* (global→local resolution, scatter-sort plans,
-  pre-drawn negative rounds — see
+  runs pool production on a background thread: pools are built one
+  source-major direction at a time and each direction is *prepared*
+  (destination global→local resolution, scatter plans for the destination
+  and negative sides, pre-drawn negative rounds — see
   :meth:`~repro.gpu.backends.vectorized.VectorizedBackend.prepare_pair`)
   ahead of the consumer, then handed over through a bounded ready-pool
   queue of capacity ``S_GPU`` — the producer blocks (backpressure) when the
@@ -48,7 +49,7 @@ from ..faults import FAULTS
 from ..graph.partition import VertexPartition
 from ..obs import trace
 from ..registry import Registry, UnknownNameError
-from .sample_pool import SamplePool, SamplePoolManager
+from .sample_pool import PoolDirection, SamplePool, SamplePoolManager
 
 __all__ = [
     "EXECUTION_MODES",
@@ -106,17 +107,32 @@ def build_schedule(rotations: int, order: list[tuple[int, int]]) -> list[Schedul
 class DirectionBatch:
     """One direction of a pool, ready for a single ``train_pair`` launch.
 
-    ``plan`` is the backend's prepared :class:`~repro.gpu.backends.vectorized.PairPlan`
-    when the kernel backend supports preparation, else ``None`` (the kernel
-    then resolves indices and draws negatives inline from the ready pool's
-    keyed generator).
+    ``samples`` is the pool's source-major :class:`~repro.large.sample_pool.PoolDirection`,
+    handed over as the sampler built it.  ``plan`` is the backend's prepared
+    :class:`~repro.gpu.backends.vectorized.PairPlan` when the kernel backend
+    supports preparation, else ``None`` (the kernel then takes the expanded
+    global pairs ``src``/``dst``, resolves them and draws negatives inline
+    from the ready pool's keyed generator).
     """
 
-    from_part: int
-    to_part: int
-    src: np.ndarray
-    dst: np.ndarray
+    samples: PoolDirection
     plan: object | None = None
+
+    @property
+    def from_part(self) -> int:
+        return self.samples.from_part
+
+    @property
+    def to_part(self) -> int:
+        return self.samples.to_part
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.samples.src
+
+    @property
+    def dst(self) -> np.ndarray:
+        return self.samples.dst
 
 
 @dataclass
@@ -162,10 +178,10 @@ class PipelineStats:
 class PoolPreparer:
     """Turns raw sample pools into device-ready :class:`ReadyPool` objects.
 
-    Owns everything production needs beyond the pool itself: the partition
-    (direction split), the partition-wide global→local lookup, the negative
-    count, and the kernel backend's optional ``prepare_pair`` hook.  Reads
-    no embedding or device state, so it is safe on the producer thread.
+    Owns everything production needs beyond the pool itself: the partition,
+    the partition-wide global→local lookup, the negative count, and the
+    kernel backend's optional ``prepare_pair`` hook.  Reads no embedding or
+    device state, so it is safe on the producer thread.
     """
 
     def __init__(self, partition: VertexPartition, backend,
@@ -180,22 +196,18 @@ class PoolPreparer:
     def ready(self, entry: ScheduleEntry, pool: SamplePool) -> ReadyPool:
         a, b = entry.pair
         rng = kernel_rng(self.seed, entry.rotation, a, b)
-        in_a = self.partition.part_of[pool.src] == a
-        specs = [(a, b, in_a)]
-        if a != b:
-            specs.append((b, a, ~in_a))
         directions: list[DirectionBatch] = []
-        for from_part, to_part, mask in specs:
-            src, dst = pool.src[mask], pool.dst[mask]
-            if src.size == 0:
+        for samples in pool.directions:
+            if samples.num_samples == 0:
                 continue   # no launch for this direction -> no negative draws
             plan = None
             if self._prepare is not None:
                 plan = self._prepare(
-                    self.partition.parts[from_part], self.partition.parts[to_part],
-                    src, dst, self.ns, rng, index_a=self.g2l, index_b=self.g2l)
-            directions.append(DirectionBatch(from_part=from_part, to_part=to_part,
-                                             src=src, dst=dst, plan=plan))
+                    self.partition.parts[samples.from_part],
+                    self.partition.parts[samples.to_part],
+                    samples.rows, samples.B, samples.dst, self.ns, rng,
+                    index_b=self.g2l)
+            directions.append(DirectionBatch(samples=samples, plan=plan))
         return ReadyPool(entry=entry, pool=pool, directions=directions, rng=rng)
 
 

@@ -40,7 +40,7 @@ from ..graph.sampler_backends import (
     get_sampler_backend,
 )
 
-__all__ = ["SamplePool", "SamplePoolManager", "POOL_STREAM", "pool_rng"]
+__all__ = ["PoolDirection", "SamplePool", "SamplePoolManager", "POOL_STREAM", "pool_rng"]
 
 #: Stream tag separating pool draws from the kernel-side negative streams
 #: (see :data:`repro.large.pipeline.KERNEL_STREAM`).
@@ -57,26 +57,67 @@ def pool_rng(seed: int, rotation: int, part_a: int, part_b: int) -> np.random.Ge
     return np.random.default_rng((seed, POOL_STREAM, rotation, part_a, part_b))
 
 
-@dataclass
+@dataclass(frozen=True)
+class PoolDirection:
+    """One direction of a pool, in the sampler's source-major layout.
+
+    ``rows`` are local rows of ``from_part`` (positions in ``vertices``, its
+    global ids), strictly increasing; ``dst`` holds ``B`` partner-part ids
+    per row, consecutive and in row order.  Source vertex ``vertices[r]``
+    therefore owns ``B`` consecutive samples — the paper kernel's
+    one-source-per-warp layout, which the pair kernel scatters without a
+    plan.
+    """
+
+    from_part: int
+    to_part: int
+    vertices: np.ndarray     # global ids of from_part (shared, not owned)
+    rows: np.ndarray
+    B: int
+    dst: np.ndarray
+
+    @property
+    def src(self) -> np.ndarray:
+        """Global source id of every sample, expanded on demand (read-only)."""
+        return np.repeat(self.vertices[self.rows], self.B)
+
+    @property
+    def num_samples(self) -> int:
+        return int(self.dst.shape[0])
+
+    def nbytes(self) -> int:
+        return int(self.rows.nbytes + self.dst.nbytes)
+
+
+@dataclass(frozen=True)
 class SamplePool:
     """Positive samples for one (part_a, part_b) kernel.
 
-    ``src``/``dst`` are global vertex ids; every ``src`` belongs to
-    ``part_a`` and every ``dst`` to ``part_b`` (or vice versa — the pool
-    stores both directions so the kernel can update both parts).
+    ``directions`` holds the ``part_a → part_b`` samples and, for an
+    off-diagonal pair, the ``part_b → part_a`` ones, each kept as built
+    (see :class:`PoolDirection`).  ``src``/``dst`` expand both directions
+    into flat global pairs on demand, ``part_a``'s sources first.
     """
 
     part_a: int
     part_b: int
-    src: np.ndarray
-    dst: np.ndarray
+    directions: tuple[PoolDirection, ...]
+
+    @property
+    def src(self) -> np.ndarray:
+        return np.concatenate([d.src for d in self.directions])
+
+    @property
+    def dst(self) -> np.ndarray:
+        return np.concatenate([d.dst for d in self.directions])
 
     @property
     def num_samples(self) -> int:
-        return int(self.src.shape[0])
+        return sum(d.num_samples for d in self.directions)
 
     def nbytes(self) -> int:
-        return int(self.src.nbytes + self.dst.nbytes)
+        """Bytes the pool carries: each direction's rows and destinations."""
+        return sum(d.nbytes() for d in self.directions)
 
 
 @dataclass
@@ -134,7 +175,7 @@ class SamplePoolManager:
     # Production (SampleManager role)
     # ------------------------------------------------------------------ #
     def _sample_direction(self, from_part: int, to_part: int,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                          rng: np.random.Generator) -> PoolDirection:
         """For every vertex of ``from_part``, draw B neighbours inside ``to_part``."""
         # Only build (and hold) the filtered sub-CSR for backends that read
         # it — the reference oracle walks the graph itself.  Third-party
@@ -142,21 +183,20 @@ class SamplePoolManager:
         filtered = (self._filtered.get(from_part, to_part)
                     if getattr(self._sampler, "uses_filtered_adjacency", True)
                     else None)
-        return self._sampler.sample_pairs(
-            self.graph, self.partition.parts[from_part], self._masks[to_part],
+        vertices = self.partition.parts[from_part]
+        rows, dst = self._sampler.sample_rows(
+            self.graph, vertices, self._masks[to_part],
             self.batch_per_vertex, rng, filtered=filtered)
+        return PoolDirection(from_part=from_part, to_part=to_part, vertices=vertices,
+                             rows=rows, B=int(self.batch_per_vertex), dst=dst)
 
     def _build(self, part_a: int, part_b: int, rotation: int) -> SamplePool:
         """Draw one pool from its keyed stream (no counters, no buffering)."""
         rng = pool_rng(self.seed, rotation, part_a, part_b)
-        src_ab, dst_ab = self._sample_direction(part_a, part_b, rng)
+        directions = [self._sample_direction(part_a, part_b, rng)]
         if part_a != part_b:
-            src_ba, dst_ba = self._sample_direction(part_b, part_a, rng)
-            src = np.concatenate([src_ab, src_ba])
-            dst = np.concatenate([dst_ab, dst_ba])
-        else:
-            src, dst = src_ab, dst_ab
-        return SamplePool(part_a=part_a, part_b=part_b, src=src, dst=dst)
+            directions.append(self._sample_direction(part_b, part_a, rng))
+        return SamplePool(part_a=part_a, part_b=part_b, directions=tuple(directions))
 
     def build_pool(self, part_a: int, part_b: int, *, rotation: int = 0) -> SamplePool:
         """Build the pool for one part pair (both sampling directions)."""

@@ -252,13 +252,17 @@ class LargeGraphTrainer:
                     sub[b] = state.submatrix(b) if b != a else sub[a]
                     t_kernel = perf_counter()
                     for direction in ready.directions:
-                        extra = {} if direction.plan is None else {"plan": direction.plan}
+                        # A prepared launch reads its samples from the plan;
+                        # only an unprepared one needs the expanded pairs.
+                        if direction.plan is None:
+                            pairs, extra = (direction.src, direction.dst), {}
+                        else:
+                            pairs, extra = (None, None), {"plan": direction.plan}
                         backend.train_pair(
                             partition.parts[direction.from_part],
                             partition.parts[direction.to_part],
                             sub[direction.from_part], sub[direction.to_part],
-                            direction.src, direction.dst,
-                            cfg.negative_samples, lr, ready.rng,
+                            *pairs, cfg.negative_samples, lr, ready.rng,
                             device=self.device, warp_config=warp_config,
                             index_a=g2l, index_b=g2l, **extra,
                         )

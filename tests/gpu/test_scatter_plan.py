@@ -10,6 +10,10 @@ The work-count invariants pin the plan's shape: at most ``LEVELS`` fancy-add
 levels, a logarithmic number of hub tail buckets, and less than 2x padding
 — so a regression to per-occurrence loops or unbounded padding fails
 deterministically, without a clock.
+
+The source-major scatter (``scatter_rows``, the positive sources' planless
+path) is held to the same standard: byte-equal to ``np.add.at`` over
+``np.repeat(rows, B)``, signed zeros included.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.backends.vectorized import LEVELS, plan_scatter
+from repro.gpu.backends.vectorized import LEVELS, check_rows, plan_scatter, scatter_rows
 
 
 def _values(rng: np.random.Generator, shape, dtype) -> np.ndarray:
@@ -147,3 +151,48 @@ class TestWorkCounts:
         assert len(plan.levels) == LEVELS
         assert len(plan.tails) <= math.ceil(math.log2(797 - LEVELS)) + 1
         assert sum(b.rows.size for b in plan.tails) < 2 * _tail_lengths(idx).sum()
+
+
+@st.composite
+def source_major_rows(draw):
+    """Strictly increasing rows of an ``n``-row target, and ``B`` in 1..7."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    return n, np.asarray(rows, dtype=np.int64), draw(st.integers(min_value=1, max_value=7))
+
+
+class TestSourceMajorScatter:
+    """``scatter_rows`` is ``np.add.at`` over ``np.repeat(rows, B)``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=source_major_rows(), row_shape=st.sampled_from([(), (32,)]),
+           dtype=DTYPES, seed=SEEDS)
+    def test_matches_add_at(self, case, row_shape, dtype, seed):
+        n, rows, B = case
+        rng = np.random.default_rng(seed)
+        target = _values(rng, (n, *row_shape), dtype)
+        updates = _values(rng, (rows.size * B, *row_shape), dtype)
+        expected = target.copy()
+        np.add.at(expected, np.repeat(rows, B), updates)
+        scatter_rows(target, rows, B, updates)
+        assert target.tobytes() == expected.tobytes()   # signed zeros too
+
+    def test_zero_signs(self):
+        # -0.0 + -0.0 stays -0.0, and a single +0.0 update flips the row.
+        target = np.full((3, 2), -0.0)
+        updates = np.full((6, 2), -0.0)
+        updates[5] = 0.0
+        expected = target.copy()
+        np.add.at(expected, np.repeat([0, 2], 3), updates)
+        scatter_rows(target, np.array([0, 2]), 3, updates)
+        assert target.tobytes() == expected.tobytes()
+        assert np.signbit(target[0]).all() and not np.signbit(target[2]).any()
+
+    @pytest.mark.parametrize("rows", [[1, 1], [2, 1], [-1, 0], [0, 5]])
+    def test_check_rows_rejects_non_source_major(self, rows):
+        with pytest.raises(KeyError):
+            check_rows(np.asarray(rows, dtype=np.int64), 5)
+
+    def test_check_rows_accepts_strictly_increasing(self):
+        check_rows(np.array([0, 2, 4]), 5)
+        check_rows(np.zeros(0, dtype=np.int64), 0)

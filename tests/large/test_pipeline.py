@@ -127,9 +127,9 @@ class TestPreparedKernelParity:
     def test_prepared_equals_unprepared(self, graph):
         partition = contiguous_partition(graph.num_vertices, 2)
         manager = SamplePoolManager(graph=graph, partition=partition, seed=1)
-        pool = manager.build_pool(1, 0)
-        in_a = partition.part_of[pool.src] == 1
-        src, dst = pool.src[in_a], pool.dst[in_a]
+        samples = manager.build_pool(1, 0).directions[0]
+        assert (samples.from_part, samples.to_part) == (1, 0)
+        src, dst = samples.src, samples.dst
         backend = get_backend("vectorized")
         g2l = partition.global_to_local()
         rng_master = np.random.default_rng(9)
@@ -142,8 +142,8 @@ class TestPreparedKernelParity:
                            kernel_rng(1, 0, 1, 0), index_a=g2l, index_b=g2l)
 
         plan = backend.prepare_pair(partition.parts[1], partition.parts[0],
-                                    src, dst, 3, kernel_rng(1, 0, 1, 0),
-                                    index_a=g2l, index_b=g2l)
+                                    samples.rows, samples.B, dst, 3,
+                                    kernel_rng(1, 0, 1, 0), index_b=g2l)
         sub_a_plan = base[partition.parts[1]].copy()
         sub_b_plan = base[partition.parts[0]].copy()
         backend.train_pair(partition.parts[1], partition.parts[0],
@@ -158,10 +158,9 @@ class TestPreparedKernelParity:
         partition = contiguous_partition(graph.num_vertices, 2)
         backend = get_backend("vectorized")
         manager = SamplePoolManager(graph=graph, partition=partition, seed=2)
-        pool = manager.build_pool(1, 0)
-        in_a = partition.part_of[pool.src] == 1
+        samples = manager.build_pool(1, 0).directions[0]
         plan = backend.prepare_pair(partition.parts[1], partition.parts[0],
-                                    pool.src[in_a], pool.dst[in_a], 2,
+                                    samples.rows, samples.B, samples.dst, 2,
                                     np.random.default_rng(0))
         assert plan.nbytes() > 0
         assert plan.neg_targets.shape[0] == 2

@@ -161,10 +161,12 @@ class TestFilteredCacheUnderConcurrency:
             lambda: [manager.build_pool(a, b) for a, b in reversed(pairs)],
         )
         cache = manager.stats()["filtered_cache"]
-        # 4 self-directions + 2 per off-diagonal pair; racing builders must
-        # not duplicate entries
-        assert cache["entries"] == 4 + 2 * (len(pairs) - 4)
+        # 4 self-directions + 2 per off-diagonal pair are served by one
+        # adjacency pass per part; racing builders must not duplicate passes
+        assert len(pairs) == 10
+        assert cache["entries"] == 4
         assert cache["builds"] == cache["entries"]
+        assert cache["hits"] == 2 * (4 + 2 * (len(pairs) - 4)) - cache["builds"]
 
 
 class TestRotationKeyedBuffer:
