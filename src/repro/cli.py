@@ -114,6 +114,21 @@ def _load_graph(source: str, *, seed: int = 0) -> CSRGraph:
     return read_edge_list(path)
 
 
+def _service(args: argparse.Namespace) -> EmbeddingService:
+    """The :class:`EmbeddingService` the service options describe.
+
+    The service validates the query knobs eagerly, so a bad one fails
+    here, before an embed-if-missing spends minutes training.
+    """
+    try:
+        return EmbeddingService(
+            dim=args.dim, epoch_scale=args.epoch_scale, seed=args.seed,
+            store=args.store_dir, metric=args.metric,
+            query_backend=args.query_backend, query_block_rows=args.block_rows)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
 def _make_device(memory_mb: float | None) -> SimulatedDevice:
     if memory_mb is None:
         return SimulatedDevice()
@@ -121,18 +136,18 @@ def _make_device(memory_mb: float | None) -> SimulatedDevice:
                                            memory_bytes=int(memory_mb * 1024 * 1024)))
 
 
-def _resolve_tool(args: argparse.Namespace):
-    """Build the requested tool from the registry.
+def _tool_name(args: argparse.Namespace) -> str:
+    """``--tool``, else the GOSH variant the legacy ``--config`` names
+    (Table 3 configuration names map onto ``gosh-<config>``)."""
+    return args.tool or f"gosh-{args.config.strip().lower()}"
 
-    ``--tool`` names any registered tool; the legacy ``--config`` flag keeps
-    working by mapping Table 3 configuration names onto the GOSH variants.
-    """
-    name = args.tool
-    if name is None:
-        name = f"gosh-{args.config.strip().lower()}"
+
+def _resolve_tool(args: argparse.Namespace):
+    """Build the requested tool (:func:`_tool_name`) from the registry."""
     device = _make_device(args.device_memory_mb)
     try:
-        return get_tool(name, dim=args.dim, epoch_scale=args.epoch_scale,
+        return get_tool(_tool_name(args), dim=args.dim,
+                        epoch_scale=args.epoch_scale,
                         device=device, seed=args.seed,
                         kernel_backend=args.kernel_backend,
                         sampler_backend=args.sampler_backend,
@@ -317,15 +332,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise SystemExit("--top-k must be >= 1")
     graph = _load_graph(args.graph, seed=args.seed)
     tool = _resolve_tool(args)
-    try:
-        # The service validates the query knobs eagerly — fail here, before
-        # an embed-if-missing spends minutes training.
-        service = EmbeddingService(
-            dim=args.dim, epoch_scale=args.epoch_scale, seed=args.seed,
-            store=args.store_dir, metric=args.metric,
-            query_backend=args.query_backend, query_block_rows=args.block_rows)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    service = _service(args)
     # The tool is resolved here (to honour --kernel-backend etc.), so wire it
     # into the service's hierarchy cache ourselves — otherwise the cache
     # counters printed below could never move on the embed-if-missing path.
@@ -403,18 +410,45 @@ def _export_trace(trace_dir: "str | None", name: str) -> None:
           "(open in Perfetto / chrome://tracing)")
 
 
+def _serve_until_stopped(handle, args: argparse.Namespace, name: str,
+                         what: str, detail: str) -> int:
+    """Start ``handle`` (a :class:`ServerThread` or ``ShardRouter``), serve
+    until ``--max-seconds`` or SIGTERM/Ctrl-C, then drain and export the
+    trace to ``<name>.trace.json``.  Returns 1 when the drain outlived its
+    timeout, else 0."""
+    if args.trace_dir is not None:
+        from .obs import trace
+        trace.enable()
+    address = handle.start()
+    print(f"{what} on {address} ({detail}); Ctrl-C/SIGTERM drains and exits")
+    if handle.http_address is not None:
+        print(f"HTTP front on http://{handle.http_address} "
+              f"(POST /query, GET /stats, GET /metrics, GET /ping)")
+    with _graceful_stop() as (stop, received):
+        try:
+            stop.wait(args.max_seconds)
+        except KeyboardInterrupt:  # handler not installed (non-main thread)
+            pass
+    if received:
+        print(f"\nsignal {received[0]}: draining in-flight requests ...")
+    else:
+        print("\ndraining in-flight requests ...")
+    rc = 0
+    try:
+        handle.stop()
+    except TimeoutError as exc:
+        print(f"forced shutdown: {exc}")
+        rc = 1
+    _export_trace(args.trace_dir, name)
+    return rc
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import QueryServer, ServerThread
 
-    name = args.tool if args.tool else f"gosh-{args.config.strip().lower()}"
+    name = _tool_name(args)
     graph = _load_graph(args.graph, seed=args.seed)
-    try:
-        service = EmbeddingService(
-            dim=args.dim, epoch_scale=args.epoch_scale, seed=args.seed,
-            store=args.store_dir, metric=args.metric,
-            query_backend=args.query_backend, query_block_rows=args.block_rows)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    service = _service(args)
     if not args.no_warm:
         # The whole point of a resident server: pay graph load + embedding
         # (or store resolution) once, before the first client connects.
@@ -435,32 +469,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from exc
     handle = ServerThread(server, http_port=args.http_port,
                           http_host=args.host)
-    if args.trace_dir is not None:
-        from .obs import trace
-        trace.enable()
-    address = handle.start()
-    print(f"serving graph {args.graph!r} with tool {name!r} on {address} "
-          f"(max_inflight={args.max_inflight}, queue_depth={args.queue_depth}, "
-          f"max_batch={args.max_batch}); Ctrl-C/SIGTERM drains and exits")
-    if handle.http_address is not None:
-        print(f"HTTP front on http://{handle.http_address} "
-              f"(POST /query, GET /stats, GET /metrics, GET /ping)")
-    with _graceful_stop() as (stop, received):
-        try:
-            stop.wait(args.max_seconds)
-        except KeyboardInterrupt:  # handler not installed (non-main thread)
-            pass
-    if received:
-        print(f"\nsignal {received[0]}: draining in-flight requests ...")
-    else:
-        print("\ndraining in-flight requests ...")
-    rc = 0
-    try:
-        handle.stop()
-    except TimeoutError as exc:
-        print(f"forced shutdown: {exc}")
-        rc = 1
-    _export_trace(args.trace_dir, "serve")
+    rc = _serve_until_stopped(
+        handle, args, "serve",
+        f"serving graph {args.graph!r} with tool {name!r}",
+        f"max_inflight={args.max_inflight}, queue_depth={args.queue_depth}, "
+        f"max_batch={args.max_batch}")
     if rc:
         return rc
     print(f"served {server.queries_answered} queries in {server.microbatches} "
@@ -476,7 +489,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     if bool(args.shards) == bool(args.backend_address):
         raise SystemExit("pass exactly one of --shards N or --backend-address "
                          "(repeatable)")
-    name = args.tool if args.tool else f"gosh-{args.config.strip().lower()}"
+    name = _tool_name(args)
     graph = _load_graph(args.graph, seed=args.seed)
     graphs = {args.graph: graph}
     router_kwargs = dict(
@@ -493,20 +506,13 @@ def cmd_route(args: argparse.Namespace) -> int:
             # Every spawned shard gets its own EmbeddingService over the
             # same store directory: independent serving locks, so shard
             # fan-outs genuinely run in parallel; a shared page cache, so
-            # the memory-mapped matrix is still loaded once.
-            def shard_service() -> EmbeddingService:
-                return EmbeddingService(
-                    dim=args.dim, epoch_scale=args.epoch_scale, seed=args.seed,
-                    store=args.store_dir, metric=args.metric,
-                    query_backend=args.query_backend,
-                    query_block_rows=args.block_rows)
-
-            # Warm once before spawning: the first service embeds-if-missing
-            # and stores; every shard then serves the same version.
-            entry, hit = shard_service().ensure_stored(name, graph)
+            # the memory-mapped matrix is still loaded once.  Warm once
+            # before spawning: the first service embeds-if-missing and
+            # stores; every shard then serves the same version.
+            entry, hit = _service(args).ensure_stored(name, graph)
             print(f"warm: {'served from store' if hit else 'embedded and stored'} "
                   f"v{entry.version:04d} (config {entry.config_hash})")
-            router = ShardRouter.spawn(shard_service, graphs,
+            router = ShardRouter.spawn(lambda: _service(args), graphs,
                                        shard_count=args.shards,
                                        **router_kwargs)
             print(f"spawned {args.shards} shard range(s) x {args.replicas} "
@@ -518,33 +524,11 @@ def cmd_route(args: argparse.Namespace) -> int:
     except (ValueError, UnknownToolError, StoreError, ConnectionError,
             OSError) as exc:
         raise SystemExit(str(exc)) from exc
-    if args.trace_dir is not None:
-        from .obs import trace
-        trace.enable()
-    address = router.start()
     ranges = ", ".join(f"[{lo},{hi})" for lo, hi
                        in router.backend._ranges[args.graph])
-    print(f"router for graph {args.graph!r} on {address} "
-          f"(vertex ranges: {ranges}); Ctrl-C/SIGTERM drains and exits")
-    if router.http_address is not None:
-        print(f"HTTP front on http://{router.http_address} "
-              f"(POST /query, GET /stats, GET /metrics, GET /ping)")
-    with _graceful_stop() as (stop, received):
-        try:
-            stop.wait(args.max_seconds)
-        except KeyboardInterrupt:  # handler not installed (non-main thread)
-            pass
-    if received:
-        print(f"\nsignal {received[0]}: draining in-flight requests ...")
-    else:
-        print("\ndraining in-flight requests ...")
-    rc = 0
-    try:
-        router.stop()
-    except TimeoutError as exc:
-        print(f"forced shutdown: {exc}")
-        rc = 1
-    _export_trace(args.trace_dir, "route")
+    rc = _serve_until_stopped(router, args, "route",
+                              f"router for graph {args.graph!r}",
+                              f"vertex ranges: {ranges}")
     if rc:
         return rc
     server = router.server
@@ -693,6 +677,62 @@ def build_parser() -> argparse.ArgumentParser:
                        help="root of the versioned embedding store "
                             f"(default: ./{DEFAULT_STORE_DIR})")
 
+    def add_service_options(p: argparse.ArgumentParser) -> None:
+        """The flags :func:`_service` reads (``--seed`` aside)."""
+        # Defaults line up with `embed`: --dim None serves whatever
+        # dimension is stored (embedding at the tool default on a miss), so
+        # the documented `embed --save` -> `query` flow hits the store
+        # instead of silently re-embedding under a different configuration.
+        p.add_argument("--dim", type=int, default=None,
+                       help="embedding dimension; default: serve any stored "
+                            "dimension, embed at the tool default if missing")
+        p.add_argument("--epoch-scale", type=float, default=1.0)
+        p.add_argument("--metric", choices=METRICS, default="cosine")
+        p.add_argument("--query-backend", default=None, metavar="NAME",
+                       help="top-k backend: blocked (chunked matmul, default) "
+                            "| exact (brute-force oracle); third-party "
+                            "backends registered via "
+                            "repro.query.register_query_backend are accepted "
+                            "by name")
+        p.add_argument("--block-rows", type=int, default=4096,
+                       help="rows per scoring block for the blocked backend")
+        add_store_option(p)
+
+    def add_serving_options(p: argparse.ArgumentParser, *, port: int) -> None:
+        """The serving front `serve` and `route` share: graph, service,
+        listener, admission control, lifetime, HTTP front and tracing."""
+        add_common(p)
+        p.add_argument("--tool", default=None,
+                       help="registered tool name served by default "
+                            "(frames may still name any tool); overrides --config")
+        p.add_argument("--config", default="normal",
+                       help="GOSH configuration shorthand for --tool gosh-<config>")
+        add_service_options(p)
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument("--port", type=int, default=port,
+                       help="TCP port to listen on (0 picks a free port)")
+        p.add_argument("--max-inflight", type=int, default=64,
+                       help="admission control: max admitted-but-unanswered "
+                            "requests before 'overloaded' replies")
+        p.add_argument("--queue-depth", type=int, default=128,
+                       help="admission control: max requests waiting for a batch")
+        p.add_argument("--max-inflight-per-tool", type=int, default=None,
+                       metavar="N",
+                       help="per-tool admission quota (default: no quota)")
+        p.add_argument("--max-batch", type=int, default=32,
+                       help="max requests drained into one query_batch call")
+        p.add_argument("--max-seconds", type=float, default=None,
+                       help="serve for N seconds then drain and exit "
+                            "(default: until Ctrl-C)")
+        p.add_argument("--http-port", type=int, default=None, metavar="PORT",
+                       help="also serve HTTP/1.1 on this port (0 picks a free "
+                            "one): POST /query, GET /stats, GET /metrics, "
+                            "GET /ping")
+        p.add_argument("--trace-dir", default=None, metavar="DIR",
+                       help="enable request tracing and write a Chrome "
+                            "trace-event profile to DIR/<command>.trace.json "
+                            "at shutdown")
+
     p_embed = sub.add_parser("embed", help="embed a graph and save the matrix as .npy")
     add_common(p_embed)
     p_embed.add_argument("--output", "-o", default="embedding.npy")
@@ -765,82 +805,29 @@ def build_parser() -> argparse.ArgumentParser:
                       "(embeds and stores first if missing)")
     add_common(p_query)
     add_tool_options(p_query)
-    # Defaults line up with `embed`: --dim None serves whatever dimension is
-    # stored (embedding at the tool default on a miss), so the documented
-    # `embed --save` -> `query` flow hits the store instead of silently
-    # re-embedding under a different configuration.
-    p_query.add_argument("--dim", type=int, default=None,
-                         help="embedding dimension; default: serve any stored "
-                              "dimension, embed at the tool default if missing")
-    p_query.add_argument("--epoch-scale", type=float, default=1.0)
+    add_service_options(p_query)
     p_query.add_argument("--vertex", type=int, action="append", default=None,
                          metavar="V",
                          help="query vertex id (repeatable; default: 0)")
     p_query.add_argument("--query-file", default=None, metavar="NPY",
                          help=".npy file of raw query vectors (overrides --vertex)")
     p_query.add_argument("--top-k", type=int, default=10)
-    p_query.add_argument("--metric", choices=METRICS, default="cosine")
-    p_query.add_argument("--query-backend", default=None, metavar="NAME",
-                         help="top-k backend: blocked (chunked matmul, default) "
-                              "| exact (brute-force oracle); third-party "
-                              "backends registered via "
-                              "repro.query.register_query_backend are accepted "
-                              "by name")
-    p_query.add_argument("--block-rows", type=int, default=4096,
-                         help="rows per scoring block for the blocked backend")
-    add_store_option(p_query)
     p_query.set_defaults(func=cmd_query)
 
     p_serve = sub.add_parser(
         "serve", help="run the resident NDJSON query server over a graph "
                       "(warms the store, then answers k-NN queries until Ctrl-C)")
-    add_common(p_serve)
-    p_serve.add_argument("--tool", default=None,
-                         help="registered tool name served by default "
-                              "(frames may still name any tool); overrides --config")
-    p_serve.add_argument("--config", default="normal",
-                         help="GOSH configuration shorthand for --tool gosh-<config>")
-    p_serve.add_argument("--dim", type=int, default=None,
-                         help="embedding dimension; default: serve any stored "
-                              "dimension, embed at the tool default if missing")
-    p_serve.add_argument("--epoch-scale", type=float, default=1.0)
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7654,
-                         help="TCP port to listen on (0 picks a free port)")
+    add_serving_options(p_serve, port=7654)
     p_serve.add_argument("--socket", default=None, metavar="PATH",
                          help="serve on a Unix socket instead of TCP")
-    p_serve.add_argument("--max-inflight", type=int, default=64,
-                         help="admission control: max admitted-but-unanswered "
-                              "requests before 'overloaded' replies")
-    p_serve.add_argument("--queue-depth", type=int, default=128,
-                         help="admission control: max requests waiting for a batch")
-    p_serve.add_argument("--max-inflight-per-tool", type=int, default=None,
-                         metavar="N",
-                         help="per-tool admission quota (default: no quota)")
-    p_serve.add_argument("--max-batch", type=int, default=32,
-                         help="max requests drained into one query_batch call")
-    p_serve.add_argument("--metric", choices=METRICS, default="cosine")
-    p_serve.add_argument("--query-backend", default=None, metavar="NAME")
-    p_serve.add_argument("--block-rows", type=int, default=4096)
     p_serve.add_argument("--no-warm", action="store_true",
                          help="skip the startup embed-if-missing warm-up")
-    p_serve.add_argument("--max-seconds", type=float, default=None,
-                         help="serve for N seconds then drain and exit "
-                              "(default: until Ctrl-C)")
-    p_serve.add_argument("--http-port", type=int, default=None, metavar="PORT",
-                         help="also serve HTTP/1.1 on this port (0 picks a "
-                              "free one): POST /query, GET /stats, GET /metrics, GET /ping")
-    add_store_option(p_serve)
-    p_serve.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="enable request tracing and write a Chrome "
-                              "trace-event profile to DIR/serve.trace.json "
-                              "at shutdown")
     p_serve.set_defaults(func=cmd_serve)
 
     p_route = sub.add_parser(
         "route", help="run a shard router: partition a graph's vertex ranges "
                       "across N query servers and merge their top-k bit-exactly")
-    add_common(p_route)
+    add_serving_options(p_route, port=7653)
     p_route.add_argument("--shards", type=int, default=None, metavar="N",
                          help="spawn N in-process shard servers (each with its "
                               "own service over the shared store)")
@@ -849,24 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="route over an externally started shard server "
                               "(repeatable; shard order = flag order = vertex "
                               "range order)")
-    p_route.add_argument("--tool", default=None,
-                         help="registered tool name served by default; "
-                              "overrides --config")
-    p_route.add_argument("--config", default="normal",
-                         help="GOSH configuration shorthand for --tool gosh-<config>")
-    p_route.add_argument("--dim", type=int, default=None,
-                         help="embedding dimension for spawned shards; default: "
-                              "serve any stored dimension")
-    p_route.add_argument("--epoch-scale", type=float, default=1.0)
-    p_route.add_argument("--host", default="127.0.0.1")
-    p_route.add_argument("--port", type=int, default=7653,
-                         help="router TCP port (0 picks a free port)")
-    p_route.add_argument("--max-inflight", type=int, default=64)
-    p_route.add_argument("--queue-depth", type=int, default=128)
-    p_route.add_argument("--max-batch", type=int, default=32)
-    p_route.add_argument("--metric", choices=METRICS, default="cosine")
-    p_route.add_argument("--query-backend", default=None, metavar="NAME")
-    p_route.add_argument("--block-rows", type=int, default=4096)
     p_route.add_argument("--shard-timeout", type=float, default=30.0,
                          help="per-shard exchange wall-clock deadline in "
                               "seconds (a hung shard fails its batch within "
@@ -884,20 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--probe-backoff-max", type=float, default=30.0,
                          metavar="SECONDS",
                          help="cap on the probe backoff interval")
-    p_route.add_argument("--max-inflight-per-tool", type=int, default=None,
-                         metavar="N",
-                         help="per-tool admission quota (default: no quota)")
-    p_route.add_argument("--max-seconds", type=float, default=None,
-                         help="route for N seconds then drain and exit "
-                              "(default: until Ctrl-C)")
-    p_route.add_argument("--http-port", type=int, default=None, metavar="PORT",
-                         help="also serve HTTP/1.1 on this port (0 picks a "
-                              "free one)")
-    add_store_option(p_route)
-    p_route.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="enable request tracing and write a Chrome "
-                              "trace-event profile to DIR/route.trace.json "
-                              "at shutdown")
     p_route.set_defaults(func=cmd_route)
 
     p_load = sub.add_parser(

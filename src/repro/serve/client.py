@@ -1,9 +1,13 @@
-"""Minimal blocking client for the NDJSON query server.
+"""Blocking client for the NDJSON query server.
 
 The synchronous counterpart of :class:`~repro.serve.server.QueryServer`
-for scripts, tests, and the CLI: one socket, one request in flight,
-line-framed JSON both ways.  The load generator keeps many requests in
-flight and does its own asyncio I/O — this client is deliberately simple.
+for scripts, tests, the CLI, and the shard router's links: one socket,
+line-framed JSON both ways, every exchange under one wall-clock deadline.
+Replies are matched to requests by wire id, never by arrival order, so a
+duplicate or late reply is dropped instead of answering the next request;
+a failed request (timeout, closed connection, bad reply) closes the
+connection, and later calls raise :class:`ConnectionError`.  The load
+generator keeps many requests in flight and does its own asyncio I/O.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ def parse_address(address: str) -> "tuple[str, Any]":
 
 
 class ServeClient:
-    """Blocking request/reply client over one server connection.
+    """Blocking client over one server connection, replies matched by wire id.
 
     ``timeout_s`` is a per-request **wall-clock deadline**, not merely a
     per-socket-operation timeout: every send and read inside one
-    :meth:`request` shares the deadline, so a server that accepts the
+    :meth:`exchange` shares the deadline, so a server that accepts the
     connection and then blackholes (reads nothing, replies nothing) fails
     the request with :class:`TimeoutError` within ``timeout_s`` instead of
     resetting the clock on every partial write.
@@ -63,42 +67,90 @@ class ServeClient:
             raise ValueError("timeout_s must be > 0")
         self.address = address
         self.timeout_s = timeout_s
+        self.duplicate_replies = 0   # unmatched reply lines dropped so far
+        self._exchanges = 0
         kind, target = parse_address(address)
         if kind == "unix":
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout_s)
-            self._sock.connect(target)
+            try:
+                self._sock.settimeout(timeout_s)
+                self._sock.connect(target)
+            except OSError:
+                self._sock.close()
+                raise
         else:
             self._sock = socket.create_connection(target, timeout=timeout_s)
         self._file = self._sock.makefile("rb")
 
     # ------------------------------------------------------------------ #
+    def exchange(self, frames: "list[dict[str, Any]]", *,
+                 budget_s: "float | None" = None) -> dict[Any, dict[str, Any]]:
+        """Send every frame, read one reply per frame; return ``{id: reply}``.
+
+        Frames go out in one write; replies are matched by id, not order.
+        Wire ids are rewritten to tokens unique to this exchange and mapped
+        back on receipt, so lines matching no outstanding token (duplicate
+        or stale replies) are counted in :attr:`duplicate_replies` and
+        dropped, up to a bounded amount of noise.  Every socket operation
+        runs under one ``budget_s`` wall-clock budget (default
+        :attr:`timeout_s`).  A failed exchange closes the connection.
+        """
+        if self._file is None:
+            raise ConnectionError(
+                f"connection to {self.address} is closed after a failed "
+                f"request")
+        budget = self.timeout_s if budget_s is None else budget_s
+        deadline = monotonic() + budget
+        self._exchanges += 1
+        tokens = {f"x{self._exchanges}.{j}": j for j in range(len(frames))}
+        payload = b"".join(encode_frame({**frame, "id": token})
+                           for token, frame in zip(tokens, frames))
+        replies: dict[Any, dict[str, Any]] = {}
+        try:
+            self._arm(deadline)
+            self._sock.sendall(payload)
+            # Tolerate bounded noise (duplicate/unsolicited replies from a
+            # misbehaving server) without reading this connection forever.
+            noise_left = 2 * len(frames) + 8
+            while tokens:
+                if noise_left <= 0:
+                    raise ConnectionError(
+                        f"{self.address} flooded the connection with "
+                        f"unmatched replies")
+                noise_left -= 1
+                self._arm(deadline)
+                line = self._file.readline(MAX_FRAME_BYTES + 1)
+                if not line:
+                    raise ConnectionError(
+                        f"{self.address} closed the connection")
+                reply = decode_frame(line)
+                token = reply.get("id")
+                j = tokens.pop(token, None) if isinstance(token, str) else None
+                if j is None:
+                    self.duplicate_replies += 1
+                    continue
+                reply["id"] = frames[j].get("id")
+                replies[reply["id"]] = reply
+        except TimeoutError as exc:
+            self.close()
+            raise TimeoutError(
+                f"request to {self.address} exceeded the {budget:g}s "
+                f"deadline") from exc
+        except BaseException:
+            self.close()
+            raise
+        return replies
+
     def _arm(self, deadline: float) -> None:
-        """Bound the next socket operation by this request's deadline."""
+        """Bound the next socket operation by the exchange deadline."""
         remaining = deadline - monotonic()
         if remaining <= 0:
-            raise TimeoutError(
-                f"request to {self.address} exceeded the {self.timeout_s}s "
-                f"deadline")
+            raise TimeoutError("deadline exhausted")
         self._sock.settimeout(remaining)
 
     def request(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """Send one frame and block for its reply line (deadline-bounded)."""
-        deadline = monotonic() + self.timeout_s
-        try:
-            self._arm(deadline)
-            self._sock.sendall(encode_frame(frame))
-            self._arm(deadline)
-            line = self._file.readline(MAX_FRAME_BYTES + 1)
-        except socket.timeout as exc:
-            # socket.timeout is TimeoutError since 3.10, but normalise the
-            # message so callers see the deadline, not a bare "timed out".
-            raise TimeoutError(
-                f"request to {self.address} exceeded the {self.timeout_s}s "
-                f"deadline") from exc
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return decode_frame(line)
+        """Send one frame and block for its reply (deadline-bounded)."""
+        return self.exchange([frame])[frame.get("id")]
 
     def query(self, *, vertices: "list[int] | int | None" = None,
               vectors: "list[list[float]] | None" = None, k: int = 10,
@@ -152,10 +204,13 @@ class ServeClient:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        """Close the connection; idempotent."""
+        if self._file is not None:
+            try:
+                self._file.close()
+            finally:
+                self._sock.close()
+                self._file = None
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -54,7 +54,6 @@ time, reproducing the engine's ask-one-extra idiom across the cluster.
 
 from __future__ import annotations
 
-import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from time import monotonic
@@ -64,8 +63,7 @@ import numpy as np
 
 from ..obs.metrics import LatencyHistogram, StateClock
 from ..query.backends import topk_by_score
-from .client import ServeClient, parse_address
-from .protocol import MAX_FRAME_BYTES, decode_frame, encode_frame
+from .client import ServeClient
 from .server import QueryServer, ServerThread
 
 __all__ = ["ShardRouter", "ShardedBackendService", "ShardError",
@@ -196,21 +194,18 @@ class _RoutedResponse:
 
 
 class _ShardLink:
-    """One persistent NDJSON connection to a shard replica, with pipelined
-    batches, a per-exchange wall-clock deadline, and health tracking.
+    """One persistent :class:`ServeClient` to a shard replica, plus the
+    router's policy around it: health tracking, one resend on a stale
+    connection, and link stats.
 
-    ``exchange`` writes every frame before reading any reply, then matches
-    replies to frames by id (a server answers admission rejections
-    immediately but batched queries later, so reply order is not request
-    order).  Wire ids are rewritten to per-exchange-unique tokens and
-    mapped back on receipt, so a resend can never be satisfied by a stale
-    or duplicate reply — replies that match no outstanding token are
-    counted (``duplicate_replies``) and dropped instead of corrupting this
-    or any later exchange.  One resend on a fresh connection absorbs a
-    shard restart that killed the persistent connection between batches; a
-    failure on a *fresh* connection, or any deadline expiry, raises
-    :class:`ShardError` immediately (retrying a hung shard would double
-    the hang, and the replica set is the real retry mechanism).
+    The client owns the wire: pipelined batches, replies matched by wire id.
+    The link runs each exchange, connect included, under one ``timeout_s``
+    deadline on its injectable clock and drops the client on any failure,
+    so a late reply can never reach a later exchange.  One resend on a
+    fresh connection absorbs a shard restart that killed the persistent
+    connection between batches; a failure on a *fresh* connection, or any
+    deadline expiry, raises :class:`ShardError` immediately (retrying a
+    hung shard would double the hang; the replica set is the real retry).
     """
 
     def __init__(self, address: str, *, timeout_s: float = 30.0,
@@ -223,45 +218,45 @@ class _ShardLink:
                                 else probe_timeout_s)
         self._clock = clock
         self.health = health if health is not None else HealthState(clock=clock)
-        self._sock: "socket.socket | None" = None
-        self._file = None
+        self._client: "ServeClient | None" = None
         self._lock = threading.Lock()
-        self._epoch = 0
         # Link stats (read by routing heuristics + the stats verb).
         self.inflight = 0           # frames currently being exchanged here
         self.routed = 0             # frames attempted (resends/failovers count)
         self.frames_ok = 0          # frames answered by a completed exchange
         self.exchange_failures = 0
-        self.duplicate_replies = 0
+        self._dropped_duplicates = 0  # duplicate replies of dropped clients
         self.probes_sent = 0
         self.probes_ok = 0
 
-    # ------------------------------------------------------------------ #
-    def _connect(self, deadline: float) -> None:
-        remaining = deadline - self._clock()
-        if remaining <= 0:
-            raise TimeoutError("deadline exhausted before connect")
-        kind, target = parse_address(self.address)
-        if kind == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(remaining)
-            sock.connect(target)
-        else:
-            sock = socket.create_connection(target, timeout=remaining)
-        self._sock, self._file = sock, sock.makefile("rb")
+    @property
+    def duplicate_replies(self) -> int:
+        """Duplicate replies dropped on this link, across reconnects."""
+        client = self._client   # read once: the stats verb runs unlocked
+        live = client.duplicate_replies if client is not None else 0
+        return self._dropped_duplicates + live
 
+    # ------------------------------------------------------------------ #
     def close(self) -> None:
         with self._lock:
-            self._teardown()
+            self._drop()
 
-    def _teardown(self) -> None:
-        for obj in (self._file, self._sock):
-            if obj is not None:
-                try:
-                    obj.close()
-                except OSError:
-                    pass
-        self._sock = self._file = None
+    def _drop(self) -> None:
+        client, self._client = self._client, None
+        if client is not None:
+            self._dropped_duplicates += client.duplicate_replies
+            client.close()
+
+    def _exchange_under(self, frames: "list[dict[str, Any]]", deadline: float,
+                     ) -> dict[Any, dict[str, Any]]:
+        """One client exchange under ``deadline``, connecting if needed."""
+        if self._client is None:
+            remaining = deadline - self._clock()
+            if remaining <= 0:
+                raise TimeoutError("deadline exhausted before connect")
+            self._client = ServeClient(self.address, timeout_s=remaining)
+        return self._client.exchange(frames,
+                                     budget_s=deadline - self._clock())
 
     # ------------------------------------------------------------------ #
     def exchange(self, frames: "list[dict[str, Any]]") -> dict[Any, dict[str, Any]]:
@@ -283,15 +278,13 @@ class _ShardLink:
     def _exchange_locked(self, frames: "list[dict[str, Any]]",
                          ) -> dict[Any, dict[str, Any]]:
         deadline = self._clock() + self.timeout_s
-        reused = self._sock is not None
+        reused = self._client is not None
         while True:
             self.routed += len(frames)
             try:
-                if self._sock is None:
-                    self._connect(deadline)
-                replies = self._exchange_once(frames, deadline)
+                replies = self._exchange_under(frames, deadline)
             except (ConnectionError, OSError, ValueError) as exc:
-                self._teardown()
+                self._drop()
                 self.exchange_failures += 1
                 timed_out = isinstance(exc, TimeoutError)
                 if reused and not timed_out:
@@ -307,54 +300,6 @@ class _ShardLink:
             self.health.record_success()
             return replies
 
-    def _exchange_once(self, frames: "list[dict[str, Any]]", deadline: float,
-                       ) -> dict[Any, dict[str, Any]]:
-        self._epoch += 1
-        tokens: dict[str, Any] = {}
-        payload: list[bytes] = []
-        for j, frame in enumerate(frames):
-            # Per-exchange-unique wire ids: a resent batch can only be
-            # answered by replies to *this* incarnation, and duplicates
-            # dedupe instead of bleeding into the next exchange.
-            token = f"x{self._epoch}.{j}"
-            tokens[token] = frame.get("id")
-            payload.append(encode_frame({**frame, "id": token}))
-        assert self._sock is not None and self._file is not None
-        self._arm(deadline)
-        self._sock.sendall(b"".join(payload))
-        replies: dict[Any, dict[str, Any]] = {}
-        pending = set(tokens)
-        # Tolerate bounded noise (duplicate/unsolicited replies from a
-        # misbehaving shard) without reading this connection forever.
-        budget = 2 * len(frames) + 8
-        while pending:
-            if budget <= 0:
-                raise ConnectionError("shard flooded the link with "
-                                      "unmatched replies")
-            budget -= 1
-            self._arm(deadline)
-            line = self._file.readline(MAX_FRAME_BYTES + 1)
-            if not line:
-                raise ConnectionError("shard closed the connection mid-batch")
-            reply = decode_frame(line)
-            token = reply.get("id")
-            if token in pending:
-                pending.discard(token)
-                reply["id"] = tokens[token]
-                replies[tokens[token]] = reply
-            else:
-                self.duplicate_replies += 1
-        return replies
-
-    def _arm(self, deadline: float) -> None:
-        """Bound the next socket operation by the exchange deadline."""
-        remaining = deadline - self._clock()
-        if remaining <= 0:
-            raise TimeoutError(
-                f"shard exchange deadline ({self.timeout_s}s) exhausted")
-        assert self._sock is not None
-        self._sock.settimeout(remaining)
-
     # ------------------------------------------------------------------ #
     def probe(self) -> bool:
         """Ping the replica on a fresh connection; drive the health machine.
@@ -365,22 +310,21 @@ class _ShardLink:
         """
         self.probes_sent += 1
         with self._lock:
-            deadline = self._clock() + self.probe_timeout_s
+            self._drop()
             try:
-                self._teardown()
-                self._connect(deadline)
-                replies = self._exchange_once(
-                    [{"id": "probe", "verb": "ping"}], deadline)
+                replies = self._exchange_under(
+                    [{"id": "probe", "verb": "ping"}],
+                    self._clock() + self.probe_timeout_s)
                 ok = bool(replies.get("probe", {}).get("ok"))
             except (ConnectionError, OSError, ValueError):
                 ok = False
-            if not ok:
-                self._teardown()
+            if ok:
+                self.probes_ok += 1
+                self.health.record_success()
+            else:
+                self._drop()
                 self.health.record_failure()
-                return False
-            self.probes_ok += 1
-            self.health.record_success()
-            return True
+            return ok
 
     def stats_row(self) -> dict[str, Any]:
         return {

@@ -12,8 +12,10 @@ The contract under test, end to end:
   "dead shard is dead forever" bug this PR removes;
 * with replica sets, the router fails over *within* a request when the
   primary dies, still bit-exact (replicas serve the same store version);
-* duplicate or stale replies on a shard link are deduplicated by
-  per-exchange wire ids instead of poisoning a later exchange;
+* duplicate or stale replies on a shard link or a ``ServeClient`` are
+  deduplicated by per-exchange wire ids instead of poisoning a later
+  exchange, and a client that timed out refuses further requests;
+* one routed microbatch makes one blocking write per shard (pipelining);
 * the failure counters stay coherent: every request is exactly one of
   ``requests_ok`` / ``requests_failed``, and every frame a replica group
   was offered is either answered by some replica or counted failed.
@@ -30,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.api import EmbeddingService
+from repro.api import EmbeddingService, QueryRequest
 from repro.graph import powerlaw_cluster
 from repro.serve import (
     HEALTH_DEAD,
@@ -210,10 +212,17 @@ def blackhole_handler(conn):
             pass
 
 
+#: Both blocking wire clients match replies by per-exchange wire id: the
+#: router's shard link and the ServeClient it runs on.
+LINK_KINDS = [pytest.param(_ShardLink, id="shard-link"),
+              pytest.param(ServeClient, id="serve-client")]
+
+
 class TestShardLinkDedupe:
-    def test_duplicate_replies_are_dropped_not_mismatched(self):
+    @pytest.mark.parametrize("connect", LINK_KINDS)
+    def test_duplicate_replies_are_dropped_not_mismatched(self, connect):
         with scripted_shard(duplicating_handler) as address:
-            link = _ShardLink(address, timeout_s=TIMEOUT)
+            link = connect(address, timeout_s=TIMEOUT)
             try:
                 replies = link.exchange([{"id": 0, "verb": "ping"},
                                          {"id": 1, "verb": "ping"}])
@@ -223,20 +232,35 @@ class TestShardLinkDedupe:
             finally:
                 link.close()
 
-    def test_stale_reply_does_not_poison_the_next_exchange(self):
+    @pytest.mark.parametrize("connect", LINK_KINDS)
+    def test_stale_reply_does_not_poison_the_next_exchange(self, connect):
         # Exchange 1 leaves a duplicate reply in the connection buffer;
         # exchange 2 uses fresh per-exchange wire ids, so the stale line is
         # recognised as noise and dropped — with batch-index ids it would
         # have been mistaken for exchange 2's own answer.
         with scripted_shard(duplicating_handler) as address:
-            link = _ShardLink(address, timeout_s=TIMEOUT)
+            link = connect(address, timeout_s=TIMEOUT)
             try:
                 first = link.exchange([{"id": 0, "verb": "ping"}])
                 assert first[0]["ok"] is True
                 second = link.exchange([{"id": 0, "verb": "ping"}])
                 assert set(second) == {0} and second[0]["ok"] is True
                 assert link.duplicate_replies >= 1   # the stale line, dropped
-                assert link.health.state == HEALTH_HEALTHY
+                if isinstance(link, _ShardLink):
+                    assert link.health.state == HEALTH_HEALTHY
+            finally:
+                link.close()
+
+    def test_link_counts_duplicates_across_reconnects(self):
+        with scripted_shard(duplicating_handler) as address:
+            link = _ShardLink(address, timeout_s=TIMEOUT)
+            try:
+                link.exchange([{"id": 0, "verb": "ping"}])
+                link.exchange([{"id": 0, "verb": "ping"}])
+                before = link.duplicate_replies
+                assert before >= 1
+                assert link.probe() is True      # drops the old connection
+                assert link.duplicate_replies >= before
             finally:
                 link.close()
 
@@ -283,6 +307,27 @@ class TestServeClientDeadline:
     def test_timeout_must_be_positive(self):
         with pytest.raises(ValueError, match="timeout_s"):
             ServeClient("127.0.0.1:1", timeout_s=0.0)
+
+    def test_request_after_a_timeout_raises_connection_error(self):
+        # The timed-out request's reply may still arrive; reading on would
+        # hand it to the next request, so the client closes instead.
+        with scripted_shard(blackhole_handler) as address:
+            with ServeClient(address, timeout_s=0.2) as client:
+                with pytest.raises(TimeoutError):
+                    client.request({"id": "first", "verb": "ping"})
+                with pytest.raises(ConnectionError):
+                    client.request({"id": "second", "verb": "ping"})
+
+
+class TestServeClientReplyMatching:
+    def test_each_request_gets_its_own_reply_despite_duplicates(self):
+        with scripted_shard(duplicating_handler) as address:
+            with ServeClient(address, timeout_s=TIMEOUT) as client:
+                assert client.request({"id": "first", "verb": "ping"})["id"] \
+                    == "first"
+                assert client.request({"id": "second", "verb": "ping"})["id"] \
+                    == "second"
+                assert client.duplicate_replies >= 1
 
 
 class TestShardGroup:
@@ -541,3 +586,35 @@ class TestStatsCoherenceUnderFailure:
             assert stats["shard_errors"] == backend.shard_errors
             assert stats["probes_ok"] <= stats["probes_sent"]
             assert stats["failovers"] == 0       # single replica per range
+
+
+class TestFanOutWork:
+    def test_one_microbatch_makes_one_blocking_send_per_shard(
+            self, service, graph, monkeypatch):
+        # Frames stay pipelined: Q queries over S shard ranges cost exactly
+        # S blocking writes, one per shard link.  The shard servers answer
+        # through asyncio transports, so only the router's links count.
+        shards, queries = 3, 5
+        router = ShardRouter.spawn(service, {"pl300": graph},
+                                   shard_count=shards,
+                                   default_tool="gosh-fast",
+                                   shard_timeout_s=TIMEOUT,
+                                   probe_interval_s=60.0,
+                                   probe_backoff_max_s=60.0)
+        with router:
+            sends = []
+            real_sendall = socket.socket.sendall
+
+            def counting_sendall(sock, data, *args):
+                sends.append(len(data))
+                return real_sendall(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+            responses = router.backend.query_batch([
+                QueryRequest("gosh-fast", graph, vertices=[v], k=3)
+                for v in range(queries)])
+            monkeypatch.undo()
+            assert len(sends) == shards
+            for v, response in enumerate(responses):
+                expected = service.query("gosh-fast", graph, vertices=[v], k=3)
+                assert response.ids.tolist() == expected.ids.tolist()

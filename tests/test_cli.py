@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,65 @@ class TestServeAndLoadCli:
         assert args.socket is None and args.max_seconds is None
         assert args.no_warm is False
 
+    #: Every option of the three serving commands, with its dest and
+    #: default, as the parser defined them before the shared serving front
+    #: was factored out: sharing the definitions must not add, drop or
+    #: re-default a flag.
+    SERVICE_OPTIONS = {
+        ((), "graph", None), (("--seed",), "seed", 0),
+        (("--tool",), "tool", None), (("--config",), "config", "normal"),
+        (("--dim",), "dim", None), (("--epoch-scale",), "epoch_scale", 1.0),
+        (("--metric",), "metric", "cosine"),
+        (("--query-backend",), "query_backend", None),
+        (("--block-rows",), "block_rows", 4096),
+        (("--store-dir",), "store_dir", "embeddings"),
+    }
+    SERVING_OPTIONS = SERVICE_OPTIONS | {
+        (("--host",), "host", "127.0.0.1"),
+        (("--max-inflight",), "max_inflight", 64),
+        (("--queue-depth",), "queue_depth", 128),
+        (("--max-inflight-per-tool",), "max_inflight_per_tool", None),
+        (("--max-batch",), "max_batch", 32),
+        (("--max-seconds",), "max_seconds", None),
+        (("--http-port",), "http_port", None),
+        (("--trace-dir",), "trace_dir", None),
+    }
+    PINNED_OPTIONS = {
+        "query": SERVICE_OPTIONS | {
+            (("--device-memory-mb",), "device_memory_mb", None),
+            (("--kernel-backend",), "kernel_backend", None),
+            (("--sampler-backend",), "sampler_backend", None),
+            (("--execution-mode",), "execution_mode", None),
+            (("--vertex",), "vertex", None),
+            (("--query-file",), "query_file", None),
+            (("--top-k",), "top_k", 10),
+        },
+        "serve": SERVING_OPTIONS | {
+            (("--port",), "port", 7654),
+            (("--socket",), "socket", None),
+            (("--no-warm",), "no_warm", False),
+        },
+        "route": SERVING_OPTIONS | {
+            (("--port",), "port", 7653),
+            (("--shards",), "shards", None),
+            (("--backend-address",), "backend_address", None),
+            (("--shard-timeout",), "shard_timeout", 30.0),
+            (("--replicas",), "replicas", 1),
+            (("--probe-interval",), "probe_interval", 1.0),
+            (("--probe-backoff-max",), "probe_backoff_max", 30.0),
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+    def test_serving_command_options_are_pinned(self, command):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        options = {(tuple(a.option_strings), a.dest, a.default)
+                   for a in commands.choices[command]._actions
+                   if a.dest != "help"}
+        assert options == self.PINNED_OPTIONS[command]
+
     def test_load_parser_defaults(self):
         args = build_parser().parse_args(["load", "127.0.0.1:7654"])
         assert args.clients == 4 and args.mode == "closed"
@@ -289,6 +351,25 @@ class TestServeAndLoadCli:
         assert report["answered"] > 0
         assert report["rejection_rate"] == 0.0
         assert {"p50", "p95", "p99"} <= set(report["latency_ms"])
+
+
+    @pytest.mark.timeout(120)
+    def test_route_spawns_shards_and_drains(self, tmp_path, capsys):
+        """`repro-gosh route --shards 2` warms the store, spawns two shard
+        servers, prints the router address and vertex ranges, and drains."""
+        code = main(["route", "com-amazon", "--config", "fast", "--dim", "8",
+                     "--epoch-scale", "0.02", "--shards", "2", "--port", "0",
+                     "--max-seconds", "0.5",
+                     "--store-dir", str(tmp_path / "store")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "spawned 2 shard range(s) x 1 replica(s)" in out
+        assert "router for graph 'com-amazon' on 127.0.0.1:" in out
+        listed = re.search(r"vertex ranges: (.*)\); Ctrl-C", out).group(1)
+        (lo0, hi0), (lo1, hi1) = [
+            tuple(map(int, r)) for r in re.findall(r"\[(\d+),(\d+)\)", listed)]
+        assert lo0 == 0 and hi0 == lo1 < hi1
+        assert "routed 0 queries" in out
 
 
 class TestStatsCli:
