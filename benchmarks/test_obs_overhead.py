@@ -8,16 +8,17 @@ returning a shared no-op singleton.  This bench pins that two ways:
 * a microbenchmark of the per-site cost in nanoseconds, and
 * an end-to-end partitioned training run (the pipeline-perf workload at
   reduced scale, whose hot loop crosses kernel/pool/rotation trace sites
-  every iteration): **disabled-tracing wall-clock must stay within 2%**
-  of a baseline run.  Enabled-tracing wall-clock is recorded in the same
-  artifact for visibility but not gated — recording is opt-in and priced
-  separately.
+  every iteration).  **The priced disabled path must stay within 2%** of
+  the baseline run: every event the enabled run records is one site the
+  disabled run crosses, so ``events × site ns`` is what the disabled
+  sites cost.  A ``span`` site is the dearer form (hot sites guard with a
+  bare ``if trace.enabled:``), so the price is an upper bound.
 
-The 2% gate compares best-of-N runs of the *same* code path (the trace
-sites are compiled in either way), so what it really measures is that the
-``trace.enabled`` check is too cheap to see over measurement noise.
-Marked ``perf`` so tier-1 skips it; CI's perf-smoke job runs it and
-uploads ``bench_results/obs_overhead.json``.
+The wall-clock A/B (baseline vs disabled vs enabled best-of-N) is recorded
+in the same artifact but not gated: baseline and disabled runs execute the
+*same* code path, so their ratio measures only noise, which on a shared
+2-vCPU box exceeds 2% on its own.  Marked ``perf`` so tier-1 skips it;
+CI's perf-smoke job runs it and uploads ``bench_results/obs_overhead.json``.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.embedding import init_embedding
+from repro.embedding import GoshConfig, init_embedding
 from repro.gpu import DeviceSpec, SimulatedDevice
 from repro.graph import powerlaw_cluster
-from repro.large import LargeGraphConfig, LargeGraphTrainer
+from repro.large import LargeGraphTrainer
 from repro.obs import trace
 
 from conftest import BENCH_JSON_DIR, record_perf_json
 
 pytestmark = pytest.mark.perf
 
-#: Disabled-path overhead ceiling, as a fraction of baseline wall-clock.
+#: Priced disabled-path ceiling, as a fraction of baseline wall-clock.
 DISABLED_OVERHEAD_CEILING = 0.02
 REPS = 3
 NUM_PARTS = 4
@@ -59,12 +60,11 @@ def _run(graph) -> tuple[float, np.ndarray]:
     device = SimulatedDevice(spec=DeviceSpec(
         name="bench", memory_bytes=max(int(matrix_bytes * 0.9),
                                        3 * (matrix_bytes // NUM_PARTS) + 4096)))
-    cfg = LargeGraphConfig(seed=0, min_parts=NUM_PARTS,
-                           positive_batch_per_vertex=B, negative_samples=NS,
-                           sampler_backend="degree_biased",
-                           execution_mode="sequential")
+    cfg = GoshConfig(positive_batch_per_vertex=B, negative_samples=NS,
+                     sampler_backend="degree_biased", execution_mode="sequential")
     t0 = perf_counter()
-    LargeGraphTrainer(device, cfg).train(graph, emb, epochs=B * NUM_PARTS * ROTATIONS)
+    LargeGraphTrainer(device, cfg, min_parts=NUM_PARTS).train(
+        graph, emb, epochs=B * NUM_PARTS * ROTATIONS)
     return perf_counter() - t0, emb
 
 
@@ -93,8 +93,8 @@ class TestObsOverhead:
         trace.drain()
         site_ns = _span_site_ns()
 
-        # Baseline and "disabled" runs execute the identical code path;
-        # interleaving best-of-N makes the comparison a noise measurement.
+        # Baseline and "disabled" runs execute the identical code path, so
+        # their ratio is a noise measurement: recorded, not gated.
         baseline_s, base_emb = _best_of(REPS, g)
         disabled_s, dis_emb = _best_of(REPS, g)
 
@@ -108,9 +108,11 @@ class TestObsOverhead:
 
         overhead = disabled_s / baseline_s - 1.0
         enabled_overhead = enabled_s / baseline_s - 1.0
+        priced = events * site_ns * 1e-9 / baseline_s
         print(f"\n[perf] obs overhead on |V|={g.num_vertices}, "
               f"|E|={g.num_undirected_edges} (K={NUM_PARTS}, B={B}, dim={DIM}, "
               f"{ROTATIONS} rotations): disabled span site={site_ns:.0f}ns "
+              f"priced disabled path={priced * 100:.4f}% "
               f"baseline={baseline_s * 1e3:.0f}ms "
               f"disabled={disabled_s * 1e3:.0f}ms ({overhead * 100:+.2f}%) "
               f"enabled={enabled_s * 1e3:.0f}ms ({enabled_overhead * 100:+.2f}%, "
@@ -135,9 +137,11 @@ class TestObsOverhead:
             "disabled_overhead_fraction": round(overhead, 4),
             "enabled_overhead_fraction": round(enabled_overhead, 4),
             "enabled_events": events,
+            "priced_disabled_fraction": round(priced, 6),
             "ceiling": DISABLED_OVERHEAD_CEILING,
         })
 
-        assert overhead <= DISABLED_OVERHEAD_CEILING, (
-            f"disabled-path tracing overhead is {overhead * 100:.2f}% "
-            f"(allowed: {DISABLED_OVERHEAD_CEILING * 100:.0f}%)")
+        assert priced <= DISABLED_OVERHEAD_CEILING, (
+            f"disabled-path tracing costs {priced * 100:.2f}% of the run "
+            f"({events} sites x {site_ns:.0f}ns; allowed: "
+            f"{DISABLED_OVERHEAD_CEILING * 100:.0f}%)")

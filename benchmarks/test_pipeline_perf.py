@@ -29,10 +29,10 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.embedding import init_embedding
+from repro.embedding import GoshConfig, init_embedding
 from repro.gpu import DeviceSpec, SimulatedDevice
 from repro.graph import powerlaw_cluster
-from repro.large import LargeGraphConfig, LargeGraphTrainer
+from repro.large import LargeGraphTrainer
 
 from conftest import record_perf_json
 
@@ -71,11 +71,11 @@ def _run(graph, mode: str) -> tuple[float, np.ndarray, object]:
     device = SimulatedDevice(spec=DeviceSpec(
         name="bench", memory_bytes=max(int(matrix_bytes * 0.9),
                                        3 * (matrix_bytes // NUM_PARTS) + 4096)))
-    cfg = LargeGraphConfig(seed=0, min_parts=NUM_PARTS,
-                           positive_batch_per_vertex=B, negative_samples=NS,
-                           sampler_backend="degree_biased", execution_mode=mode)
+    cfg = GoshConfig(positive_batch_per_vertex=B, negative_samples=NS,
+                     sampler_backend="degree_biased", execution_mode=mode)
     t0 = perf_counter()
-    stats = LargeGraphTrainer(device, cfg).train(graph, emb, epochs=B * NUM_PARTS * ROTATIONS)
+    stats = LargeGraphTrainer(device, cfg, min_parts=NUM_PARTS).train(
+        graph, emb, epochs=B * NUM_PARTS * ROTATIONS)
     return perf_counter() - t0, emb, stats
 
 

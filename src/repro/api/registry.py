@@ -38,8 +38,9 @@ def get_tool(name: str, **options) -> EmbeddingTool:
     """Instantiate the tool registered under ``name`` (case-insensitive).
 
     Keyword ``options`` are forwarded to the factory; the built-in tools all
-    accept ``dim``, ``epoch_scale``, ``device``, ``seed``, ``kernel_backend``,
-    ``sampler_backend``, and ``execution_mode``.
+    accept ``dim``, ``epoch_scale``, ``device`` and ``seed``.  Only the GOSH
+    tools accept ``kernel_backend``, ``sampler_backend`` and
+    ``execution_mode``; a baseline given one raises ``TypeError``.
     """
     return TOOLS.factory(name)(**options)
 

@@ -10,16 +10,12 @@ same construction options so the registry can build any of them uniformly:
   knob (relative tool comparisons stay fair while wall-clock stays small).
 * ``device`` — simulated device; ignored by the CPU-only baselines.
 * ``seed`` — RNG seed (``None`` keeps the backend default).
-* ``kernel_backend`` — kernel layer for the GOSH update kernels
-  (``"vectorized"`` default or ``"reference"``); accepted and ignored by the
-  baselines, which have their own training loops.
-* ``sampler_backend`` — host-side sampler producing the large-graph engine's
-  positive pools (``"vectorized"`` default, ``"reference"``, or
-  ``"degree_biased"``); accepted and ignored by the baselines for the same
-  reason.
-* ``execution_mode`` — large-graph pool-production scheduling
-  (``"pipelined"`` default or ``"sequential"``); accepted and ignored by the
-  baselines, which have no partitioned engine.
+
+The GOSH tools also take the three layer options of
+:class:`~repro.embedding.config.GoshConfig` — ``kernel_backend``,
+``sampler_backend`` and ``execution_mode`` (``None`` keeps the config's
+value).  The baselines have their own training loops and no partitioned
+engine, so they do not take them: passing one raises ``TypeError``.
 
 Importing this module registers the seven built-in tools with
 :data:`~repro.api.registry.TOOLS`, in the presentation order of the Table 6
@@ -57,22 +53,6 @@ __all__ = [
     "MileTool",
     "GraphViteTool",
 ]
-
-
-def _reject_unknown_names(kernel_backend: str | None, sampler_backend: str | None,
-                          execution_mode: str | None) -> None:
-    """Validate the layer options a baseline accepts but does not use.
-
-    The baselines have their own training loops, so these options are
-    ignored — but an *unregistered* name must still error, otherwise the
-    same typo that fails for GOSH tools silently passes here and mislabels
-    benchmark numbers.  Raises ``ValueError`` like ``GoshConfig.validate``.
-    """
-    for registry, name in ((KERNEL_BACKENDS, kernel_backend),
-                           (SAMPLER_BACKENDS, sampler_backend),
-                           (EXECUTION_MODES, execution_mode)):
-        if name is not None:
-            registry.canonical(name)
 
 
 class BaseEmbeddingTool:
@@ -136,15 +116,11 @@ class GoshTool(BaseEmbeddingTool):
                  execution_mode: str | None = None,
                  hierarchy_cache: HierarchyCache | None = None):
         cfg = get_config(config) if isinstance(config, str) else config
-        cfg = cfg.scaled(epoch_scale, dim=dim)
-        if seed is not None:
-            cfg = cfg.with_(seed=seed)
-        if kernel_backend is not None:
-            cfg = cfg.with_(kernel_backend=kernel_backend)
-        if sampler_backend is not None:
-            cfg = cfg.with_(sampler_backend=sampler_backend)
-        if execution_mode is not None:
-            cfg = cfg.with_(execution_mode=execution_mode)
+        overrides = {"seed": seed, "kernel_backend": kernel_backend,
+                     "sampler_backend": sampler_backend,
+                     "execution_mode": execution_mode}
+        cfg = cfg.scaled(epoch_scale, dim=dim).with_(
+            **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
         self.config = cfg
         self.device = device
@@ -290,14 +266,9 @@ class VerseTool(BaseEmbeddingTool):
 
     def __init__(self, *, dim: int | None = None, epoch_scale: float = 1.0,
                  device: SimulatedDevice | None = None, seed: int | None = None,
-                 kernel_backend: str | None = None,
-                 sampler_backend: str | None = None,
-                 execution_mode: str | None = None,
                  epochs: int = 600, learning_rate: float = 0.045,
                  similarity: str = "adjacency", **config_overrides):
-        _reject_unknown_names(kernel_backend, sampler_backend, execution_mode)
-        # CPU-only tool; accepted for registry uniformity.
-        del device, kernel_backend, sampler_backend, execution_mode
+        del device  # CPU-only tool; accepted for registry uniformity.
         self.config = VerseConfig(
             dim=dim if dim is not None else VerseConfig.dim,
             epochs=max(1, int(epochs * epoch_scale)),
@@ -335,13 +306,8 @@ class MileTool(BaseEmbeddingTool):
 
     def __init__(self, *, dim: int | None = None, epoch_scale: float = 1.0,
                  device: SimulatedDevice | None = None, seed: int | None = None,
-                 kernel_backend: str | None = None,
-                 sampler_backend: str | None = None,
-                 execution_mode: str | None = None,
                  base_epochs: int = 200, **config_overrides):
-        _reject_unknown_names(kernel_backend, sampler_backend, execution_mode)
-        # CPU-only tool; accepted for registry uniformity.
-        del device, kernel_backend, sampler_backend, execution_mode
+        del device  # CPU-only tool; accepted for registry uniformity.
         self.config = MileConfig(
             dim=dim if dim is not None else MileConfig.dim,
             base_epochs=max(1, int(base_epochs * epoch_scale)),
@@ -376,13 +342,7 @@ class GraphViteTool(BaseEmbeddingTool):
 
     def __init__(self, *, dim: int | None = None, epoch_scale: float = 1.0,
                  device: SimulatedDevice | None = None, seed: int | None = None,
-                 kernel_backend: str | None = None,
-                 sampler_backend: str | None = None,
-                 execution_mode: str | None = None,
                  epochs: int = 600, learning_rate: float = 0.05, **config_overrides):
-        _reject_unknown_names(kernel_backend, sampler_backend, execution_mode)
-        # episodic trainer has its own loop; accepted for registry uniformity.
-        del kernel_backend, sampler_backend, execution_mode
         self.device = device
         self.config = GraphViteConfig(
             dim=dim if dim is not None else GraphViteConfig.dim,

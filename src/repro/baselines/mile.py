@@ -26,7 +26,7 @@ import numpy as np
 
 from ..coarsening.hierarchy import CoarseningHierarchy, expand_embedding
 from ..coarsening.mile_coarsening import mile_coarsen
-from ..embedding.trainer import init_embedding, train_level
+from ..embedding.trainer import LevelTrainer, init_embedding
 from ..graph.csr import CSRGraph
 
 __all__ = ["MileConfig", "MileResult", "mile_embed"]
@@ -86,10 +86,11 @@ def mile_embed(graph: CSRGraph, config: MileConfig | None = None) -> MileResult:
     coarsest = hierarchy.coarsest()
     rng = np.random.default_rng(cfg.seed)
     embedding = init_embedding(coarsest.num_vertices, cfg.dim, rng)
-    train_level(coarsest, embedding, cfg.base_epochs,
-                negative_samples=cfg.negative_samples,
-                learning_rate=cfg.learning_rate, seed=cfg.seed,
-                level=hierarchy.num_levels - 1)
+    # The loop-based reference kernel, which MILE has always trained on.
+    LevelTrainer(negative_samples=cfg.negative_samples,
+                 learning_rate=cfg.learning_rate, backend="reference",
+                 seed=cfg.seed).train(coarsest, embedding, cfg.base_epochs,
+                                      level=hierarchy.num_levels - 1)
     training_seconds = perf_counter() - t1
 
     t2 = perf_counter()

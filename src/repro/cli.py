@@ -143,15 +143,24 @@ def _tool_name(args: argparse.Namespace) -> str:
 
 
 def _resolve_tool(args: argparse.Namespace):
-    """Build the requested tool (:func:`_tool_name`) from the registry."""
-    device = _make_device(args.device_memory_mb)
+    """Build the requested tool (:func:`_tool_name`) from the registry.
+
+    The GOSH layer flags are passed only when set: the baselines do not
+    take them, so a set one on a baseline is a usage error naming the flag.
+    """
+    name = _tool_name(args)
+    layers = {dest: getattr(args, dest) for dest in
+              ("kernel_backend", "sampler_backend", "execution_mode")
+              if getattr(args, dest) is not None}
     try:
-        return get_tool(_tool_name(args), dim=args.dim,
-                        epoch_scale=args.epoch_scale,
-                        device=device, seed=args.seed,
-                        kernel_backend=args.kernel_backend,
-                        sampler_backend=args.sampler_backend,
-                        execution_mode=args.execution_mode)
+        return get_tool(name, dim=args.dim, epoch_scale=args.epoch_scale,
+                        device=_make_device(args.device_memory_mb),
+                        seed=args.seed, **layers)
+    except TypeError as exc:
+        if not layers:
+            raise
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in layers)
+        raise SystemExit(f"{flags}: GOSH tools only, not {name!r}") from exc
     except ValueError as exc:
         # an unregistered --tool or --kernel-backend name, among others
         raise SystemExit(str(exc)) from exc

@@ -10,7 +10,7 @@ from .checkpoint import (
 from .config import CONFIGURATIONS, FAST, NO_COARSE, NORMAL, SLOW, GoshConfig, get_config
 from .epochs import distribute_epochs, learning_rate_schedule, per_epoch_learning_rate
 from .gosh import GoshEmbedder, GoshResult, embed
-from .trainer import LevelTrainer, TrainingStats, init_embedding, train_level
+from .trainer import LevelTrainer, TrainingStats, init_embedding
 from .verse import VerseConfig, VerseResult, verse_embed
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "LevelTrainer",
     "TrainingStats",
     "init_embedding",
-    "train_level",
     "VerseConfig",
     "VerseResult",
     "verse_embed",

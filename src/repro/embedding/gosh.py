@@ -30,7 +30,7 @@ from ..coarsening.multi_edge_collapse import multi_edge_collapse
 from ..coarsening.parallel_collapse import parallel_multi_edge_collapse
 from ..faults import FAULTS
 from ..gpu.device import SimulatedDevice, embedding_fits_on_device
-from ..large.scheduler import LargeGraphConfig, LargeGraphStats, LargeGraphTrainer
+from ..large.scheduler import LargeGraphStats, LargeGraphTrainer
 from ..graph.csr import CSRGraph
 from ..obs import trace
 from .checkpoint import CheckpointMismatchError, CheckpointPolicy, ResumeState, TrainingInterrupted
@@ -152,22 +152,7 @@ class GoshEmbedder:
             seed=cfg.seed,
             device=self.device,
         )
-        large_trainer = LargeGraphTrainer(
-            self.device,
-            LargeGraphConfig(
-                positive_batch_per_vertex=cfg.positive_batch_per_vertex,
-                resident_submatrices=cfg.resident_submatrices,
-                resident_sample_pools=cfg.resident_sample_pools,
-                negative_samples=cfg.negative_samples,
-                learning_rate=cfg.learning_rate,
-                lr_decay_floor=cfg.learning_rate_decay_floor,
-                small_dim_mode=cfg.small_dim_mode,
-                kernel_backend=cfg.kernel_backend,
-                sampler_backend=cfg.sampler_backend,
-                execution_mode=cfg.execution_mode,
-                seed=cfg.seed,
-            ),
-        )
+        large_trainer = LargeGraphTrainer(self.device, cfg)
 
         training_start = perf_counter()
         # Line 2: random initialisation of the coarsest level's matrix.

@@ -22,7 +22,7 @@ from ..gpu.device import SimulatedDevice
 from ..gpu.warp import WarpConfig
 from .epochs import per_epoch_learning_rate
 
-__all__ = ["init_embedding", "TrainingStats", "LevelTrainer", "train_level"]
+__all__ = ["init_embedding", "TrainingStats", "LevelTrainer"]
 
 
 def init_embedding(num_vertices: int, dim: int,
@@ -118,21 +118,3 @@ class LevelTrainer:
         stats.final_lr = lr
         return stats
 
-
-def train_level(graph: CSRGraph, embedding: np.ndarray, epochs: int, *,
-                negative_samples: int = 3, learning_rate: float = 0.035,
-                kernel: str = "optimized", backend: str | KernelBackend = "reference",
-                small_dim_mode: bool = True,
-                device: SimulatedDevice | None = None, seed: int = 0,
-                level: int = 0) -> TrainingStats:
-    """Functional wrapper around :class:`LevelTrainer` for one-off calls."""
-    trainer = LevelTrainer(
-        negative_samples=negative_samples,
-        learning_rate=learning_rate,
-        kernel=kernel,
-        backend=backend,
-        small_dim_mode=small_dim_mode,
-        device=device,
-        seed=seed,
-    )
-    return trainer.train(graph, embedding, epochs, level=level)

@@ -11,10 +11,9 @@ protocol:
   pinned by the kernel-parity suite).  Default.
 
 Selection is wired through :class:`~repro.embedding.config.GoshConfig`
-(``kernel_backend``), :class:`~repro.embedding.trainer.LevelTrainer`
-(``backend``), :class:`~repro.large.scheduler.LargeGraphConfig`
-(``kernel_backend``), every registered embedding tool, and the CLI's
-``--kernel-backend`` flag.  Third-party backends plug in with
+(``kernel_backend``, read by both GOSH trainers),
+:class:`~repro.embedding.trainer.LevelTrainer` (``backend``), the GOSH
+tools, and the CLI's ``--kernel-backend`` flag.  Third-party backends plug in with
 :func:`register_backend`.
 """
 

@@ -6,7 +6,6 @@ from .pipeline import (
     EXECUTION_MODES,
     PipelinedExecutor,
     PipelineStats,
-    PoolEvent,
     PoolPreparer,
     ReadyPool,
     ScheduleEntry,
@@ -18,12 +17,7 @@ from .pipeline import (
 )
 from .rotation import count_switches, inside_out_order, naive_order, validate_rotation_cover
 from .sample_pool import PoolDirection, SamplePool, SamplePoolManager, pool_rng
-from .scheduler import (
-    LargeGraphConfig,
-    LargeGraphStats,
-    LargeGraphTrainer,
-    train_large_graph,
-)
+from .scheduler import LargeGraphStats, LargeGraphTrainer
 
 __all__ = [
     "GPUState",
@@ -41,15 +35,12 @@ __all__ = [
     "PipelinedExecutor",
     "SequentialExecutor",
     "PipelineStats",
-    "PoolEvent",
     "PoolPreparer",
     "ReadyPool",
     "ScheduleEntry",
     "UnknownExecutionModeError",
     "build_schedule",
     "create_executor",
-    "LargeGraphConfig",
     "LargeGraphStats",
     "LargeGraphTrainer",
-    "train_large_graph",
 ]

@@ -30,9 +30,10 @@ Consumption order is fixed by the schedule and kernels only ever run on the
 consumer thread, which makes pipelined and sequential execution
 **bit-identical** — pinned by ``tests/large/test_pipeline.py``.
 
-Every handover is timed: :class:`PoolEvent` records produce/consume
-timestamps, the ready-queue depth, and how long the consumer stalled
-waiting — the numbers behind ``benchmarks/test_pipeline_perf.py``.
+Every handover is timed: :class:`PipelineStats` sums the consumer's stall
+and the producer's build + prepare time and keeps the peak ready-queue
+depth — the numbers behind ``benchmarks/test_pipeline_perf.py``; with
+tracing on, each pool's production is also a ``pool-produce`` span.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import queue
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -61,7 +62,6 @@ __all__ = [
     "build_schedule",
     "DirectionBatch",
     "ReadyPool",
-    "PoolEvent",
     "PipelineStats",
     "PoolPreparer",
     "SequentialExecutor",
@@ -143,19 +143,6 @@ class ReadyPool:
     pool: SamplePool
     directions: list[DirectionBatch]
     rng: np.random.Generator     # keyed kernel stream (unconsumed iff no plans)
-    produced_at: float = 0.0
-
-
-@dataclass(frozen=True)
-class PoolEvent:
-    """Timing record of one pool's trip through the pipeline."""
-
-    rotation: int
-    pair: tuple[int, int]
-    produced_at: float       # seconds since executor start, production finished
-    consumed_at: float       # seconds since executor start, handed to the kernel
-    wait_seconds: float      # consumer stall attributable to this pool
-    queue_depth: int         # ready pools buffered right after this handover
 
 
 @dataclass
@@ -164,15 +151,9 @@ class PipelineStats:
 
     mode: str
     capacity: int
-    events: list[PoolEvent] = field(default_factory=list)
     stall_seconds: float = 0.0      # total consumer time spent waiting on pools
     produce_seconds: float = 0.0    # total build + prepare time (producer side)
-    max_queue_depth: int = 0
-
-    def record(self, event: PoolEvent) -> None:
-        self.events.append(event)
-        self.stall_seconds += event.wait_seconds
-        self.max_queue_depth = max(self.max_queue_depth, event.queue_depth)
+    max_queue_depth: int = 0        # peak ready pools buffered after a handover
 
 
 class PoolPreparer:
@@ -230,7 +211,6 @@ class SequentialExecutor:
         self.stats = PipelineStats(mode=self.mode, capacity=capacity)
         self._capacity = capacity
         self._cursor = 0
-        self._t0 = perf_counter()
 
     def __enter__(self) -> "SequentialExecutor":
         return self
@@ -257,18 +237,15 @@ class SequentialExecutor:
         self.manager.prefetch(upcoming, rotation=entry.rotation)
         pool = self.manager.acquire(*entry.pair, rotation=entry.rotation)
         ready = self.preparer.ready(entry, pool)
-        now = perf_counter()
-        elapsed = now - t0
+        elapsed = perf_counter() - t0
         self.stats.produce_seconds += elapsed
+        self.stats.stall_seconds += elapsed
+        self.stats.max_queue_depth = max(self.stats.max_queue_depth,
+                                         self.manager.resident_pools)
         if trace.enabled:
             trace.add_complete("pool-produce", elapsed,
                                rotation=entry.rotation, pair=list(entry.pair),
                                mode=self.mode)
-        ready.produced_at = now - self._t0
-        self.stats.record(PoolEvent(
-            rotation=entry.rotation, pair=entry.pair,
-            produced_at=ready.produced_at, consumed_at=now - self._t0,
-            wait_seconds=elapsed, queue_depth=self.manager.resident_pools))
         return ready
 
 
@@ -298,7 +275,6 @@ class PipelinedExecutor:
         self._queue: "queue.Queue[ReadyPool | _ProducerFailure]" = queue.Queue(
             maxsize=max(1, capacity))
         self._stop = threading.Event()
-        self._t0 = perf_counter()
         self._thread = threading.Thread(target=self._produce,
                                         name="gosh-pool-producer", daemon=True)
         self._thread.start()
@@ -320,15 +296,14 @@ class PipelinedExecutor:
                                 pair=entry.pair)
                 pool = self.manager.build_pool(*entry.pair, rotation=entry.rotation)
                 ready = self.preparer.ready(entry, pool)
-                now = perf_counter()
-                self.stats.produce_seconds += now - t0
+                elapsed = perf_counter() - t0
+                self.stats.produce_seconds += elapsed
                 if trace.enabled:
                     # Runs on the producer thread — the exported trace shows
                     # production genuinely overlapping the consumer's kernels.
-                    trace.add_complete("pool-produce", now - t0,
+                    trace.add_complete("pool-produce", elapsed,
                                        rotation=entry.rotation,
                                        pair=list(entry.pair), mode=self.mode)
-                ready.produced_at = now - self._t0
                 if not self._put(ready):
                     return
         except BaseException as exc:  # surface on the consumer thread
@@ -379,11 +354,9 @@ class PipelinedExecutor:
         wait = perf_counter() - t0
         if isinstance(item, _ProducerFailure):
             raise item.error
-        now = perf_counter() - self._t0
-        self.stats.record(PoolEvent(
-            rotation=item.entry.rotation, pair=item.entry.pair,
-            produced_at=item.produced_at, consumed_at=now,
-            wait_seconds=wait, queue_depth=self._queue.qsize()))
+        self.stats.stall_seconds += wait
+        self.stats.max_queue_depth = max(self.stats.max_queue_depth,
+                                         self._queue.qsize())
         self.manager.note_consumed()
         return item
 

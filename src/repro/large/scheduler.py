@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -52,33 +52,19 @@ from .pipeline import (
 from .rotation import inside_out_order
 from .sample_pool import SamplePoolManager
 
-__all__ = ["LargeGraphConfig", "LargeGraphStats", "LargeGraphTrainer", "train_large_graph"]
+if TYPE_CHECKING:  # repro.embedding imports this module via embedding.gosh
+    from ..embedding.config import GoshConfig
 
+__all__ = ["LargeGraphStats", "LargeGraphTrainer"]
 
-@dataclass(frozen=True)
-class LargeGraphConfig:
-    """Section 3.3 knobs with the paper's defaults."""
-
-    positive_batch_per_vertex: int = 5   # B
-    resident_submatrices: int = 3        # P_GPU
-    resident_sample_pools: int = 4       # S_GPU
-    negative_samples: int = 3            # ns
-    learning_rate: float = 0.035
-    lr_decay_floor: float = 1e-4
-    small_dim_mode: bool = True
-    kernel_backend: str = "vectorized"   # pair-kernel layer (see repro.gpu.backends)
-    sampler_backend: str = "vectorized"  # host sampler layer (see repro.graph.sampler_backends)
-    execution_mode: str = DEFAULT_EXECUTION_MODE  # pool production (see repro.large.pipeline)
-    seed: int = 0
-    min_parts: int | None = None         # force K >= min_parts (tests / figure 3)
-    # Graceful degradation under DeviceMemoryError: halve the resident
-    # footprint (P_GPU bins, S_GPU queue slots) and retry with bounded
-    # exponential backoff instead of dying.  The *partition* (K) is always
-    # computed from the configured P_GPU, so a degraded run walks the same
-    # schedule and draws the same streams — degradation is bit-neutral.
-    max_oom_retries: int = 8
-    oom_backoff_base_s: float = 0.05
-    oom_backoff_max_s: float = 2.0
+# Graceful degradation under DeviceMemoryError: halve the resident footprint
+# (P_GPU bins, S_GPU queue slots) and retry with bounded exponential backoff
+# instead of dying.  The *partition* (K) is always computed from the
+# configured P_GPU, so a degraded run walks the same schedule and draws the
+# same streams — degradation is bit-neutral.
+MAX_OOM_RETRIES = 8
+OOM_BACKOFF_BASE_S = 0.05
+OOM_BACKOFF_MAX_S = 2.0
 
 
 @dataclass
@@ -96,20 +82,31 @@ class LargeGraphStats:
     pool_produce_seconds: float = 0.0  # build + prepare time (producer side)
     max_ready_pools: int = 0           # peak ready-queue depth observed
     timeline: StreamTimeline = field(default_factory=StreamTimeline, repr=False)
-    pipeline: PipelineStats | None = field(default=None, repr=False)  # per-pool produce/consume events
+    pipeline: PipelineStats | None = field(default=None, repr=False)  # stall / produce / queue aggregates
     start_rotation: int = 0            # first rotation executed (resume cursor)
     oom_retries: int = 0               # attempts lost to DeviceMemoryError
     # One record per degradation step: the error, the halved footprint the
-    # retry ran with, and the backoff it waited (see LargeGraphConfig).
+    # retry ran with, and the backoff it waited (see MAX_OOM_RETRIES).
     degradations: list[dict] = field(default_factory=list)
 
 
 class LargeGraphTrainer:
-    """Runs Algorithm 5 for one level against a simulated device."""
+    """Runs Algorithm 5 for one level against a simulated device.
 
-    def __init__(self, device: SimulatedDevice, config: LargeGraphConfig | None = None):
+    ``config`` is the run's :class:`~repro.embedding.config.GoshConfig`; the
+    engine reads B, P_GPU, S_GPU, ns, the learning-rate schedule, the layer
+    backends and the seed from it.  ``min_parts`` forces ``K >= min_parts``
+    (tests / figure 3).
+    """
+
+    def __init__(self, device: SimulatedDevice, config: GoshConfig | None = None,
+                 *, min_parts: int | None = None):
+        if config is None:
+            from ..embedding.config import GoshConfig
+            config = GoshConfig()
         self.device = device
-        self.config = config or LargeGraphConfig()
+        self.config = config
+        self.min_parts = min_parts
 
     def train(self, graph: CSRGraph, embedding: np.ndarray, epochs: int, *,
               base_lr: float | None = None, level: int = 0,
@@ -139,8 +136,8 @@ class LargeGraphTrainer:
             n, dim, embedding.dtype.itemsize, self.device.spec.memory_bytes,
             resident_parts=cfg.resident_submatrices,
         )
-        if cfg.min_parts is not None:
-            k = max(k, cfg.min_parts)
+        if self.min_parts is not None:
+            k = max(k, self.min_parts)
         partition = contiguous_partition(n, k)
         k = partition.num_parts
 
@@ -174,10 +171,9 @@ class LargeGraphTrainer:
             except DeviceMemoryError as exc:
                 new_p = max(2, p_gpu // 2)
                 new_s = max(1, s_gpu // 2)
-                if (new_p, new_s) == (p_gpu, s_gpu) or attempt >= cfg.max_oom_retries:
+                if (new_p, new_s) == (p_gpu, s_gpu) or attempt >= MAX_OOM_RETRIES:
                     raise
-                delay = min(cfg.oom_backoff_base_s * (2 ** attempt),
-                            cfg.oom_backoff_max_s)
+                delay = min(OOM_BACKOFF_BASE_S * (2 ** attempt), OOM_BACKOFF_MAX_S)
                 degradations.append({
                     "attempt": attempt,
                     "error": str(exc),
@@ -227,7 +223,7 @@ class LargeGraphTrainer:
                 for entry in schedule:
                     # Learning rate decays across rotations the way it decays
                     # across epochs in the in-memory trainer.
-                    lr = lr0 * max(1.0 - entry.rotation / rotations, cfg.lr_decay_floor)
+                    lr = lr0 * max(1.0 - entry.rotation / rotations, cfg.learning_rate_decay_floor)
                     a, b = entry.pair
                     upcoming = order[entry.pair_index + 1:]
                     state.ensure_pair(a, b, upcoming=upcoming)
@@ -302,14 +298,3 @@ class LargeGraphTrainer:
         stats.pool_produce_seconds = executor.stats.produce_seconds
         stats.max_ready_pools = executor.stats.max_queue_depth
 
-
-def train_large_graph(graph: CSRGraph, embedding: np.ndarray, epochs: int,
-                      device: SimulatedDevice, *,
-                      config: LargeGraphConfig | None = None,
-                      base_lr: float | None = None, level: int = 0,
-                      start_rotation: int = 0,
-                      on_rotation: Callable[[int], None] | None = None) -> LargeGraphStats:
-    """Functional wrapper over :class:`LargeGraphTrainer`."""
-    return LargeGraphTrainer(device, config).train(
-        graph, embedding, epochs, base_lr=base_lr, level=level,
-        start_rotation=start_rotation, on_rotation=on_rotation)

@@ -114,6 +114,14 @@ class HttpFront:
         if self.server.http_front is self:
             self.server.http_front = None
 
+    def abort(self) -> None:
+        """Hard stop for an abandoned drain (call on the loop): close the
+        listener and abort every open connection's transport."""
+        if self._listener is not None:
+            self._listener.close()
+        for writer in list(self._writers):
+            writer.transport.abort()
+
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #

@@ -228,6 +228,16 @@ class QueryServer:
         for conn in list(self._connections):
             await self._close_connection(conn)
 
+    def abort(self) -> None:
+        """Hard stop for an abandoned drain (call on the loop): close the
+        listener and abort every open connection's transport, dropping any
+        reply not yet written."""
+        if self._server is not None:
+            self._server.close()
+        for conn in list(self._connections):
+            conn.closed = True
+            conn.writer.transport.abort()
+
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
@@ -660,8 +670,9 @@ class ServerThread:
 
     ``stop()`` performs the server's graceful drain before the loop exits.
     A drain that outlives ``timeout_s`` raises :class:`TimeoutError` — but
-    still stops the event loop and joins the thread, so a wedged drain
-    cannot leak the daemon loop thread.
+    still aborts the listeners and connections it left open, stops the
+    event loop and joins the thread, so a wedged drain leaks neither the
+    daemon loop thread nor a socket.
     """
 
     def __init__(self, server: QueryServer, *, start_timeout_s: float = 30.0,
@@ -712,19 +723,32 @@ class ServerThread:
         loop, thread = self._loop, self._thread
         self._loop, self._thread = None, None
         future = asyncio.run_coroutine_threadsafe(self._shutdown(), loop)
+        stop = loop.stop
         try:
             future.result(timeout_s)
         except FutureTimeoutError:
             # The drain is wedged (e.g. the service is stuck in a worker
-            # thread).  Don't leak the daemon loop thread on top of that:
-            # abandon the drain, stop the loop, and surface the timeout.
+            # thread).  Don't leak the daemon loop thread or the open
+            # sockets on top of that: abandon the drain, abort what it left
+            # open, stop the loop, and surface the timeout.
             future.cancel()
+            stop = self._abort_then_stop
             raise TimeoutError(
                 f"server drain did not finish within {timeout_s}s; event "
                 f"loop stopped, in-flight replies abandoned") from None
         finally:
-            loop.call_soon_threadsafe(loop.stop)
+            loop.call_soon_threadsafe(stop)
             thread.join(timeout_s)
+
+    def _abort_then_stop(self) -> None:
+        """Abort the open listeners and connections, then stop the loop one
+        iteration later, once the aborted transports have closed their
+        sockets (their ``connection_lost`` callbacks run in between)."""
+        self.server.abort()
+        if self._http is not None:
+            self._http.abort()
+        loop = asyncio.get_running_loop()
+        loop.call_soon(loop.stop)
 
     def __enter__(self) -> str:
         return self.start()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from repro.baselines import (
     mile_embed,
 )
 from repro.gpu import DeviceMemoryError, DeviceSpec, SimulatedDevice
-from repro.graph import social_community
+from repro.graph import powerlaw_cluster, social_community
+
+#: SHA-256 of MILE's float32 embedding of ``powerlaw_cluster(300, m=3,
+#: seed=1)`` at ``MileConfig(dim=16, base_epochs=20, seed=0)``, recorded
+#: when its coarsest level was trained through the ``train_level`` wrapper
+#: (numpy 2.4, x86-64).
+MILE_SHA256 = "e9507966b2e03e7a3215e94a597d158f3eefb63cc0a5f691784bf5b5adce567c"
 
 
 @pytest.fixture
@@ -41,6 +49,14 @@ class TestMile:
         pos = np.einsum("ij,ij->i", emb[edges[:, 0]], emb[edges[:, 1]]).mean()
         rnd = np.einsum("ij,ij->i", emb[ru], emb[rv]).mean()
         assert pos > rnd
+
+    def test_embedding_is_byte_identical_to_the_recorded_one(self):
+        """MILE trains on the reference kernel, as it always has: the level
+        trainer's vectorized default must not leak into the baseline."""
+        g = powerlaw_cluster(300, m=3, seed=1)
+        emb = mile_embed(g, MileConfig(dim=16, base_epochs=20, seed=0)).embedding
+        assert emb.dtype == np.float32
+        assert hashlib.sha256(emb.tobytes()).hexdigest() == MILE_SHA256
 
     def test_fewer_levels_than_requested_on_small_graph(self):
         small = social_community(60, intra_degree=4, seed=0)

@@ -15,11 +15,15 @@ from repro.embedding import (
     LevelTrainer,
     embed,
     init_embedding,
-    train_level,
 )
-from repro.gpu import DeviceSpec, SimulatedDevice, VectorizedBackend
+from repro.gpu import DeviceSpec, SimulatedDevice, VectorizedBackend, get_backend
 from repro.graph import social_community, stochastic_block_model
-from repro.large import LargeGraphConfig, LargeGraphTrainer
+from repro.large import LargeGraphTrainer
+
+#: The GOSH-only layer options; every baseline must refuse each of them.
+LAYER_OPTIONS = {"kernel_backend": "vectorized", "sampler_backend": "vectorized",
+                 "execution_mode": "pipelined"}
+BASELINES = ("verse", "mile", "graphvite")
 
 
 class TestLevelTrainerBackend:
@@ -46,9 +50,12 @@ class TestLevelTrainerBackend:
         assert dots[same].mean() > dots[~same].mean()
 
     def test_train_level_backend_kwarg(self, community_graph):
+        """A level trainer runs the backend it names, vectorized by default."""
+        assert LevelTrainer()._backend is get_backend("vectorized")
+        trainer = LevelTrainer(backend="reference", seed=0)
+        assert trainer._backend is get_backend("reference")
         emb = init_embedding(community_graph.num_vertices, 8, 0)
-        stats = train_level(community_graph, emb, 2, backend="vectorized")
-        assert stats.epochs == 2
+        assert trainer.train(community_graph, emb, 2).epochs == 2
 
     def test_both_kernels_run_through_vectorized(self, community_graph):
         for kernel in ("optimized", "naive"):
@@ -106,8 +113,8 @@ class TestLargeGraphBackend:
         g = social_community(600, intra_degree=6, seed=4)
         device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
         emb = init_embedding(g.num_vertices, 16, 2)
-        cfg = LargeGraphConfig(kernel_backend=backend, min_parts=3, seed=0)
-        stats = LargeGraphTrainer(device, cfg).train(g, emb, 10)
+        cfg = GoshConfig(kernel_backend=backend)
+        stats = LargeGraphTrainer(device, cfg, min_parts=3).train(g, emb, 10)
         return emb, stats
 
     def test_vectorized_pair_backend_runs(self):
@@ -123,6 +130,24 @@ class TestLargeGraphBackend:
         # identical schedule + host sampling; only kernel arithmetic differs
         np.testing.assert_allclose(vec_emb, ref_emb, atol=2e-2)
 
+    def test_embedder_hands_the_engine_its_own_config(self, monkeypatch):
+        """One GoshConfig from embedder to partitioned engine: no copy."""
+        import repro.embedding.gosh as gosh
+
+        seen = []
+
+        class Recording(LargeGraphTrainer):
+            def __init__(self, device, config=None, **kwargs):
+                seen.append(config)
+                super().__init__(device, config, **kwargs)
+
+        monkeypatch.setattr(gosh, "LargeGraphTrainer", Recording)
+        g = social_community(600, intra_degree=6, seed=4)
+        device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
+        embedder = GoshEmbedder(FAST.scaled(0.02, dim=16), device=device)
+        assert embedder.embed(g).large_graph_stats
+        assert len(seen) == 1 and seen[0] is embedder.config
+
     def test_routed_from_pipeline(self):
         g = social_community(600, intra_degree=6, seed=4)
         device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
@@ -132,10 +157,10 @@ class TestLargeGraphBackend:
 
 
 class TestApiAndCli:
-    def test_get_tool_accepts_kernel_backend_for_all_builtins(self):
-        for name in ("gosh-normal", "verse", "mile", "graphvite"):
-            tool = get_tool(name, dim=8, epoch_scale=0.02, kernel_backend="vectorized")
-            assert tool is not None
+    def test_get_tool_accepts_kernel_backend_for_gosh_tools(self):
+        for name in ("gosh-fast", "gosh-normal", "gosh-slow", "gosh-nocoarse"):
+            tool = get_tool(name, dim=8, epoch_scale=0.02, kernel_backend="reference")
+            assert tool.config.kernel_backend == "reference"
 
     def test_gosh_tool_propagates_backend(self):
         tool = get_tool("gosh-fast", dim=8, kernel_backend="vectorized")
@@ -147,9 +172,13 @@ class TestApiAndCli:
             get_tool("gosh-fast", dim=8, kernel_backend="warp-speed")
 
     def test_baselines_reject_invalid_backend_names_too(self):
-        """The baselines ignore the option but must not swallow typos."""
-        for name in ("verse", "mile", "graphvite"):
-            with pytest.raises(ValueError):
+        """The baselines take no layer option, so none (typo or not) passes
+        silently and mislabels a benchmark number."""
+        for name in BASELINES:
+            for option, value in LAYER_OPTIONS.items():
+                with pytest.raises(TypeError, match=option):
+                    get_tool(name, dim=8, **{option: value})
+            with pytest.raises(TypeError, match="kernel_backend"):
                 get_tool(name, dim=8, kernel_backend="vectorised")
 
     def test_gosh_tool_embeds_with_vectorized(self, small_power_graph):
@@ -166,6 +195,18 @@ class TestApiAndCli:
         assert code == 0
         assert np.load(out).shape[1] == 8
         assert "vectorized" in capsys.readouterr().out
+
+    def test_cli_layer_flag_on_a_baseline_exits_naming_it(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "com-amazon", "--tool", "verse",
+                  "--kernel-backend", "reference", "-o", str(tmp_path / "x.npy")])
+        message = str(exc.value.code)
+        assert "--kernel-backend" in message and "'verse'" in message
+        assert "\n" not in message
+        out = tmp_path / "emb.npy"
+        assert main(["embed", "com-amazon", "--tool", "verse", "--dim", "8",
+                     "--epoch-scale", "0.02", "-o", str(out)]) == 0
+        assert np.load(out).shape[1] == 8
 
     def test_cli_unknown_kernel_backend_exits(self):
         with pytest.raises(SystemExit):
@@ -193,16 +234,16 @@ class TestSamplerBackendIntegration:
         for backend in ("reference", "vectorized"):
             device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
             emb = init_embedding(g.num_vertices, 16, 2)
-            cfg = LargeGraphConfig(sampler_backend=backend, min_parts=3, seed=0)
-            stats = LargeGraphTrainer(device, cfg).train(g, emb, 10)
+            cfg = GoshConfig(sampler_backend=backend)
+            stats = LargeGraphTrainer(device, cfg, min_parts=3).train(g, emb, 10)
             embeddings[backend] = emb
             assert stats.positive_samples > 0
         assert np.array_equal(embeddings["reference"], embeddings["vectorized"])
 
-    def test_get_tool_accepts_sampler_backend_for_all_builtins(self):
-        for name in ("gosh-normal", "verse", "mile", "graphvite"):
+    def test_get_tool_accepts_sampler_backend_for_gosh_tools(self):
+        for name in ("gosh-fast", "gosh-normal", "gosh-slow", "gosh-nocoarse"):
             tool = get_tool(name, dim=8, epoch_scale=0.02, sampler_backend="reference")
-            assert tool is not None
+            assert tool.config.sampler_backend == "reference"
 
     def test_gosh_tool_propagates_sampler_backend(self):
         tool = get_tool("gosh-fast", dim=8, sampler_backend="reference")
@@ -210,9 +251,11 @@ class TestSamplerBackendIntegration:
         assert "reference sampler" in tool.describe()
 
     def test_baselines_reject_invalid_sampler_backend_names(self):
-        for name in ("verse", "mile", "graphvite"):
-            with pytest.raises(ValueError):
+        for name in BASELINES:
+            with pytest.raises(TypeError, match="sampler_backend"):
                 get_tool(name, dim=8, sampler_backend="vectorised")
+            with pytest.raises(TypeError, match="sampler_backend"):
+                get_tool(name, dim=8, sampler_backend="vectorized")
 
     def test_cli_sampler_backend_flag(self, tmp_path):
         out = tmp_path / "emb.npy"
@@ -266,10 +309,10 @@ class TestExecutionModeIntegration:
             embeddings[mode] = result.embedding
         assert np.array_equal(embeddings["sequential"], embeddings["pipelined"])
 
-    def test_get_tool_accepts_execution_mode_for_all_builtins(self):
-        for name in ("gosh-normal", "verse", "mile", "graphvite"):
+    def test_get_tool_accepts_execution_mode_for_gosh_tools(self):
+        for name in ("gosh-fast", "gosh-normal", "gosh-slow", "gosh-nocoarse"):
             tool = get_tool(name, dim=8, epoch_scale=0.02, execution_mode="sequential")
-            assert tool is not None
+            assert tool.config.execution_mode == "sequential"
 
     def test_gosh_tool_propagates_execution_mode(self):
         tool = get_tool("gosh-fast", dim=8, execution_mode="sequential")
@@ -284,9 +327,10 @@ class TestExecutionModeIntegration:
         """Only None selects the default mode; "" is a typo like any other."""
         with pytest.raises(ValueError):
             GoshConfig(execution_mode="").validate()
-        for name in ("gosh-fast", "verse"):
-            with pytest.raises(ValueError):
-                get_tool(name, dim=8, execution_mode="")
+        with pytest.raises(ValueError):
+            get_tool("gosh-fast", dim=8, execution_mode="")
+        with pytest.raises(TypeError):
+            get_tool("verse", dim=8, execution_mode="")
 
     def test_describe_uses_canonical_names(self):
         text = get_tool("gosh-fast", dim=8, kernel_backend="Reference",
@@ -295,9 +339,11 @@ class TestExecutionModeIntegration:
         assert "sampler" not in text
 
     def test_baselines_reject_invalid_mode_names_too(self):
-        for name in ("verse", "mile", "graphvite"):
-            with pytest.raises(ValueError):
+        for name in BASELINES:
+            with pytest.raises(TypeError, match="execution_mode"):
                 get_tool(name, dim=8, execution_mode="pipelined-ish")
+            with pytest.raises(TypeError, match="execution_mode"):
+                get_tool(name, dim=8, execution_mode="sequential")
 
     def test_cli_execution_mode_flag(self, tmp_path, capsys):
         out = tmp_path / "emb.npy"

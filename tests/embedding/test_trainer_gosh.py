@@ -14,7 +14,6 @@ from repro.embedding import (
     VerseConfig,
     embed,
     init_embedding,
-    train_level,
     verse_embed,
 )
 from repro.gpu import DeviceSpec, SimulatedDevice
@@ -81,9 +80,9 @@ class TestLevelTrainer:
         stats = LevelTrainer(kernel="naive", seed=0).train(community_graph, emb, 3)
         assert stats.epochs == 3
 
-    def test_functional_wrapper(self, community_graph):
+    def test_trains_on_a_simulated_device(self, community_graph):
         emb = init_embedding(community_graph.num_vertices, 8, 0)
-        stats = train_level(community_graph, emb, 2, device=SimulatedDevice())
+        stats = LevelTrainer(device=SimulatedDevice()).train(community_graph, emb, 2)
         assert stats.epochs == 2
 
 

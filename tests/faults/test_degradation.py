@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.api import get_tool
+from repro.embedding import GoshConfig
 from repro.faults import FAULTS
 from repro.gpu.device import DeviceMemoryError
 from repro.gpu import DeviceSpec, SimulatedDevice
 from repro.graph import powerlaw_cluster
-from repro.large import LargeGraphConfig, train_large_graph
+from repro.large import LargeGraphTrainer, scheduler
 
 
 def tiny_device(bytes_: int) -> SimulatedDevice:
@@ -87,22 +88,21 @@ class TestDegradation:
         """With P_GPU/S_GPU already minimal there is nothing left to halve."""
         embedding = np.random.default_rng(0).standard_normal(
             (graph.num_vertices, 16)).astype(np.float32)
-        config = LargeGraphConfig(resident_submatrices=2,
-                                  resident_sample_pools=1, min_parts=4, seed=0)
+        config = GoshConfig(resident_submatrices=2, resident_sample_pools=1)
         FAULTS.arm("device-oom", at=2)
         with pytest.raises(DeviceMemoryError):
-            train_large_graph(graph, embedding, epochs=40,
-                              device=tiny_device(50_000), config=config)
+            LargeGraphTrainer(tiny_device(50_000), config, min_parts=4).train(
+                graph, embedding, epochs=40)
 
-    def test_retry_budget_bounds_attempts(self, graph):
-        """max_oom_retries=0 turns the retry loop off entirely."""
+    def test_retry_budget_bounds_attempts(self, graph, monkeypatch):
+        """MAX_OOM_RETRIES = 0 turns the retry loop off entirely."""
+        monkeypatch.setattr(scheduler, "MAX_OOM_RETRIES", 0)
         embedding = np.random.default_rng(0).standard_normal(
             (graph.num_vertices, 16)).astype(np.float32)
-        config = LargeGraphConfig(min_parts=4, max_oom_retries=0, seed=0)
         FAULTS.arm("device-oom", at=2)
         with pytest.raises(DeviceMemoryError):
-            train_large_graph(graph, embedding, epochs=40,
-                              device=tiny_device(50_000), config=config)
+            LargeGraphTrainer(tiny_device(50_000), min_parts=4).train(
+                graph, embedding, epochs=40)
 
     def test_persistent_oom_exhausts_halving_and_reraises(self, graph):
         """Degradation must not mask a device that keeps failing: the halving
@@ -115,10 +115,8 @@ class TestDegradation:
         device.allocate = always_oom
         embedding = np.random.default_rng(0).standard_normal(
             (graph.num_vertices, 16)).astype(np.float32)
-        config = LargeGraphConfig(min_parts=4, seed=0)
         with pytest.raises(DeviceMemoryError, match="persistent"):
-            train_large_graph(graph, embedding, epochs=40,
-                              device=device, config=config)
+            LargeGraphTrainer(device, min_parts=4).train(graph, embedding, epochs=40)
 
     def test_stats_record_degradations_in_summary(self, graph):
         FAULTS.arm("device-oom", at=3)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embedding import init_embedding
+from repro.embedding import GoshConfig, init_embedding
 from repro.gpu import DeviceSpec, SimulatedDevice
 from repro.graph import social_community
-from repro.large import LargeGraphConfig, LargeGraphTrainer, train_large_graph
+from repro.large import LargeGraphTrainer
 
 
 def tiny_device(kilobytes: int) -> SimulatedDevice:
@@ -24,8 +24,7 @@ class TestLargeGraphTrainer:
         # 400 x 16 x 4 bytes = 25.6 KB; an 16 KB device forces partitioning.
         device = tiny_device(16)
         emb = init_embedding(graph.num_vertices, 16, 0)
-        stats = train_large_graph(graph, emb, epochs=20, device=device,
-                                  config=LargeGraphConfig(seed=0))
+        stats = LargeGraphTrainer(device).train(graph, emb, epochs=20)
         assert stats.num_parts >= 2
         assert stats.kernels == stats.rotations * stats.num_parts * (stats.num_parts + 1) // 2
         assert stats.positive_samples > 0
@@ -34,22 +33,19 @@ class TestLargeGraphTrainer:
     def test_repr_summarises_without_event_lists(self, graph):
         device = tiny_device(16)
         emb = init_embedding(graph.num_vertices, 16, 0)
-        stats = train_large_graph(graph, emb, epochs=20, device=device,
-                                  config=LargeGraphConfig(seed=0))
-        # The event lists exist and stay reachable as attributes ...
-        assert stats.timeline.events and stats.pipeline.events
+        stats = LargeGraphTrainer(device).train(graph, emb, epochs=20)
+        # The event list exists and stays reachable as an attribute ...
+        assert stats.timeline.events
         # ... but a repr grows with the kernel count no more.
         text = repr(stats)
         assert "StreamEvent(" not in text
-        assert "PoolEvent(" not in text
         assert f"kernels={stats.kernels}" in text
 
     def test_embedding_actually_trains(self, graph):
         device = tiny_device(16)
         emb = init_embedding(graph.num_vertices, 16, 0)
         before = emb.copy()
-        train_large_graph(graph, emb, epochs=20, device=device,
-                          config=LargeGraphConfig(seed=0))
+        LargeGraphTrainer(device).train(graph, emb, epochs=20)
         assert not np.array_equal(emb, before)
         # positive (train) edges should score above random pairs on average
         edges = graph.undirected_edge_array()
@@ -63,12 +59,12 @@ class TestLargeGraphTrainer:
     def test_device_memory_respected(self, graph):
         device = tiny_device(16)
         emb = init_embedding(graph.num_vertices, 16, 0)
-        train_large_graph(graph, emb, epochs=10, device=device)
+        LargeGraphTrainer(device).train(graph, emb, epochs=10)
         assert device.peak_allocated_bytes <= device.spec.memory_bytes
 
     def test_rotations_scale_with_epochs(self, graph):
         device = tiny_device(16)
-        cfg = LargeGraphConfig(positive_batch_per_vertex=5, seed=0)
+        cfg = GoshConfig(positive_batch_per_vertex=5)
         emb = init_embedding(graph.num_vertices, 16, 0)
         few = LargeGraphTrainer(device, cfg).train(graph, emb.copy(), epochs=10)
         device.reset()
@@ -77,15 +73,14 @@ class TestLargeGraphTrainer:
 
     def test_min_parts_override(self, graph):
         device = SimulatedDevice()  # plenty of memory
-        cfg = LargeGraphConfig(min_parts=4, seed=0)
         emb = init_embedding(graph.num_vertices, 8, 0)
-        stats = LargeGraphTrainer(device, cfg).train(graph, emb, epochs=10)
+        stats = LargeGraphTrainer(device, min_parts=4).train(graph, emb, epochs=10)
         assert stats.num_parts >= 4
 
     def test_shape_mismatch_raises(self, graph):
         device = tiny_device(16)
         with pytest.raises(ValueError):
-            train_large_graph(graph, np.zeros((3, 8), dtype=np.float32), 5, device)
+            LargeGraphTrainer(device).train(graph, np.zeros((3, 8), dtype=np.float32), 5)
 
     def test_equivalent_quality_to_in_memory(self):
         """Partitioned training must not be dramatically worse than in-memory."""
@@ -98,8 +93,8 @@ class TestLargeGraphTrainer:
         LevelTrainer(negative_samples=3, learning_rate=0.05, seed=0).train(graph, emb_mem, epochs)
 
         emb_part = init_embedding(graph.num_vertices, dim, 0)
-        train_large_graph(graph, emb_part, epochs, tiny_device(8),
-                          config=LargeGraphConfig(learning_rate=0.05, seed=0))
+        LargeGraphTrainer(tiny_device(8), GoshConfig(learning_rate=0.05)).train(
+            graph, emb_part, epochs)
 
         def edge_separation(emb):
             edges = graph.undirected_edge_array()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -376,6 +377,43 @@ class TestServerThreadLifecycle:
             # Reap the abandoned-drain debris (half-run server coroutines,
             # the executor callback hitting the closed loop) while the
             # warning filters above are still active.
+            time.sleep(0.05)
+            server._connections.clear()
+            del server, handle
+            gc.collect()
+
+    # The same collateral as above: the server's coroutines still die
+    # un-awaited with the abandoned loop; only their sockets are closed now.
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_drain_past_timeout_aborts_every_open_transport(self, stub):
+        """The abandoned drain leaves no socket open behind the stopped
+        loop: a transport that outlives its loop can never be closed."""
+        server = make_server(stub)
+        handle = ServerThread(server, http_port=0)
+        addr = handle.start()
+        host, port = handle.http_address.rsplit(":", 1)
+        busy = ServeClient(addr, timeout_s=TIMEOUT)
+        idle = ServeClient(addr, timeout_s=TIMEOUT)
+        http = socket.create_connection((host, int(port)), timeout=TIMEOUT)
+        try:
+            assert idle.ping()                    # accepted and registered
+            send(busy, {"id": "r1", "verb": "query", "vertices": [0]})
+            assert stub.started.wait(TIMEOUT)     # service wedged mid-batch
+            deadline = time.monotonic() + TIMEOUT
+            while not handle._http._writers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            transports = ([conn.writer.transport for conn in server._connections]
+                          + [w.transport for w in handle._http._writers])
+            assert len(transports) == 3           # two NDJSON, one HTTP
+            with pytest.raises(TimeoutError, match="drain"):
+                handle.stop(timeout_s=0.3)
+            assert all(t.is_closing() for t in transports)
+        finally:
+            stub.release.set()
+            for client in (busy, idle, http):
+                client.close()
             time.sleep(0.05)
             server._connections.clear()
             del server, handle
