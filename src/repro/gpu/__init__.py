@@ -1,4 +1,4 @@
-"""Simulated GPU substrate: device memory model, warp model, kernels, backends, streams."""
+"""Simulated GPU substrate: device memory model, warp model, kernels, backends."""
 
 from .backends import (
     KernelBackend,
@@ -26,7 +26,6 @@ from .kernels import (
     train_pair_kernel,
     update_embedding_pair,
 )
-from .streams import StreamEvent, StreamTimeline
 from .warp import WarpConfig, WarpSchedule, vertices_per_warp, warp_lane_efficiency
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "train_epoch_optimized",
     "train_pair_kernel",
     "update_embedding_pair",
-    "StreamEvent",
-    "StreamTimeline",
     "WarpConfig",
     "WarpSchedule",
     "vertices_per_warp",

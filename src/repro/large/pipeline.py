@@ -18,9 +18,8 @@ This module makes it real:
   Production is pure NumPy index work that releases the GIL, so it overlaps
   the consumer's kernel arithmetic on a second core.
 * :class:`SequentialExecutor` (``execution_mode="sequential"``) is the
-  single-threaded oracle: the same prefetch-buffer/acquire dance the
-  scheduler used to run inline, plus the same preparation step, on the
-  consumer thread.
+  single-threaded oracle: it builds and prepares each pool on the consumer
+  thread, right before its kernel, with nothing buffered.
 
 **Determinism.**  Both executors draw every pool from a stream keyed by
 ``(seed, rotation, pair)`` (:func:`~repro.large.sample_pool.pool_rng`) and
@@ -150,7 +149,6 @@ class PipelineStats:
     """Aggregate pipeline behaviour of one training run."""
 
     mode: str
-    capacity: int
     stall_seconds: float = 0.0      # total consumer time spent waiting on pools
     produce_seconds: float = 0.0    # total build + prepare time (producer side)
     max_queue_depth: int = 0        # peak ready pools buffered after a handover
@@ -195,10 +193,10 @@ class PoolPreparer:
 class SequentialExecutor:
     """Single-threaded oracle: produce each pool inline, right before use.
 
-    Runs the exact prefetch-buffer/acquire dance the scheduler historically
-    ran (PoolManager role, bounded by ``S_GPU``) plus the kernel-preparation
-    step, all on the consumer thread.  Every second spent here is recorded
-    as stall — this is precisely the time the pipelined executor hides.
+    Builds the current schedule entry's pool and prepares it on the consumer
+    thread, buffering nothing (``capacity`` is accepted for the common
+    executor signature and unused).  Every second spent here is recorded as
+    stall — this is precisely the time the pipelined executor hides.
     """
 
     mode = "sequential"
@@ -208,8 +206,7 @@ class SequentialExecutor:
         self.manager = manager
         self.preparer = preparer
         self.schedule = schedule
-        self.stats = PipelineStats(mode=self.mode, capacity=capacity)
-        self._capacity = capacity
+        self.stats = PipelineStats(mode=self.mode)
         self._cursor = 0
 
     def __enter__(self) -> "SequentialExecutor":
@@ -225,23 +222,12 @@ class SequentialExecutor:
         entry = self.schedule[self._cursor]
         self._cursor += 1
         t0 = perf_counter()
-        # Prefetch pools for the next few pairs of this rotation (PoolManager
-        # role, S_GPU deep), then consume the current pair's pool.  The
-        # schedule is rotation-major, so the same-rotation tail is contiguous.
-        upcoming = []
-        for e in self.schedule[self._cursor: self._cursor + self._capacity]:
-            if e.rotation != entry.rotation:
-                break
-            upcoming.append(e.pair)
         FAULTS.crossing("pool-producer", rotation=entry.rotation, pair=entry.pair)
-        self.manager.prefetch(upcoming, rotation=entry.rotation)
-        pool = self.manager.acquire(*entry.pair, rotation=entry.rotation)
+        pool = self.manager.build_pool(*entry.pair, rotation=entry.rotation)
         ready = self.preparer.ready(entry, pool)
         elapsed = perf_counter() - t0
         self.stats.produce_seconds += elapsed
         self.stats.stall_seconds += elapsed
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth,
-                                         self.manager.resident_pools)
         if trace.enabled:
             trace.add_complete("pool-produce", elapsed,
                                rotation=entry.rotation, pair=list(entry.pair),
@@ -271,7 +257,7 @@ class PipelinedExecutor:
         self.manager = manager
         self.preparer = preparer
         self.schedule = schedule
-        self.stats = PipelineStats(mode=self.mode, capacity=capacity)
+        self.stats = PipelineStats(mode=self.mode)
         self._queue: "queue.Queue[ReadyPool | _ProducerFailure]" = queue.Queue(
             maxsize=max(1, capacity))
         self._stop = threading.Event()
@@ -357,7 +343,6 @@ class PipelinedExecutor:
         self.stats.stall_seconds += wait
         self.stats.max_queue_depth = max(self.stats.max_queue_depth,
                                          self._queue.qsize())
-        self.manager.note_consumed()
         return item
 
     def close(self) -> None:

@@ -38,12 +38,10 @@ from ..obs import trace
 from ..graph.partition import compute_num_parts, contiguous_partition
 from ..gpu.backends import get_backend
 from ..gpu.device import DeviceMemoryError, SimulatedDevice
-from ..gpu.streams import StreamTimeline
 from ..gpu.warp import WarpConfig
 from .gpu_state import GPUState
 from .pipeline import (
     DEFAULT_EXECUTION_MODE,
-    PipelineStats,
     PoolPreparer,
     build_schedule,
     create_executor,
@@ -81,8 +79,6 @@ class LargeGraphStats:
     pool_stall_seconds: float = 0.0   # kernel time lost waiting on pools
     pool_produce_seconds: float = 0.0  # build + prepare time (producer side)
     max_ready_pools: int = 0           # peak ready-queue depth observed
-    timeline: StreamTimeline = field(default_factory=StreamTimeline, repr=False)
-    pipeline: PipelineStats | None = field(default=None, repr=False)  # stall / produce / queue aggregates
     start_rotation: int = 0            # first rotation executed (resume cursor)
     oom_retries: int = 0               # attempts lost to DeviceMemoryError
     # One record per degradation step: the error, the halved footprint the
@@ -201,7 +197,6 @@ class LargeGraphTrainer:
         pools = SamplePoolManager(
             graph=graph, partition=partition,
             batch_per_vertex=cfg.positive_batch_per_vertex,
-            max_resident_pools=s_gpu,
             seed=cfg.seed, sampler_backend=cfg.sampler_backend,
         )
         state = GPUState(embedding=embedding, parts=partition.parts,
@@ -230,19 +225,15 @@ class LargeGraphTrainer:
                     ready = executor.next_ready()
                     pool = ready.pool
 
-                    # Ship the pool: an H2D copy on the simulated timeline, so
-                    # serial_makespan prices transfers, not just kernels.
-                    h2d_seconds = pool.nbytes() / pcie_bytes_per_second
-                    stats.timeline.record_copy(h2d_seconds,
-                                               label=f"pool({a},{b})", direction="h2d")
                     if trace.enabled:
-                        # Simulated transfer: a zero-duration marker keeps
-                        # the real-time profile honest; the priced duration
-                        # rides along in args.
+                        # Ship the pool: a simulated H2D copy.  A zero-duration
+                        # marker keeps the real-time profile honest; the
+                        # PCIe-priced duration rides along in args.
+                        nbytes = pool.nbytes()
                         trace.add_instant("h2d", level=level,
                                           rotation=entry.rotation, pair=[a, b],
-                                          simulated_s=round(h2d_seconds, 9),
-                                          nbytes=pool.nbytes())
+                                          simulated_s=round(nbytes / pcie_bytes_per_second, 9),
+                                          nbytes=nbytes)
 
                     sub = {a: state.submatrix(a)}
                     sub[b] = state.submatrix(b) if b != a else sub[a]
@@ -262,13 +253,8 @@ class LargeGraphTrainer:
                             device=self.device, warp_config=warp_config,
                             index_a=g2l, index_b=g2l, **extra,
                         )
-                    kernel_seconds = perf_counter() - t_kernel
-                    stats.timeline.record_kernel(kernel_seconds, label=f"pair({a},{b})",
-                                                 wait_for_copies=(entry.pair_index == 0))
                     if trace.enabled:
-                        # Absorb the measurement the timeline already took —
-                        # same number, no second perf_counter pair.
-                        trace.add_complete("kernel", kernel_seconds,
+                        trace.add_complete("kernel", perf_counter() - t_kernel,
                                            level=level, rotation=entry.rotation,
                                            pair=[a, b],
                                            samples=pool.num_samples)
@@ -293,7 +279,6 @@ class LargeGraphTrainer:
             state.release()
             raise
         stats.submatrix_switches = state.switches
-        stats.pipeline = executor.stats
         stats.pool_stall_seconds = executor.stats.stall_seconds
         stats.pool_produce_seconds = executor.stats.produce_seconds
         stats.max_ready_pools = executor.stats.max_queue_depth

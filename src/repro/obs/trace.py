@@ -10,8 +10,8 @@ Two recording styles:
   tracer brackets itself, and
 * ``trace.add_complete("pool-produce", elapsed_s, rotation=r)`` for
   durations something else already measured on ``perf_counter`` (the
-  pipeline's pool production times, ``StreamTimeline`` copies, the
-  server's per-request latency stamps) — the event is back-dated so it
+  pipeline's pool production times, the server's per-request latency
+  stamps) — the event is back-dated so it
   lands where it actually happened on the shared clock.  This is how the
   pre-existing timing surfaces are *absorbed* rather than re-measured.
 

@@ -675,6 +675,9 @@ class ServerThread:
     daemon loop thread nor a socket.
     """
 
+    #: Bound on the wait for cancelled tasks to unwind after an abandoned drain.
+    ABORT_GRACE_S = 1.0
+
     def __init__(self, server: QueryServer, *, start_timeout_s: float = 30.0,
                  http_port: "int | None" = None, http_host: str = "127.0.0.1"):
         self.server = server
@@ -741,14 +744,26 @@ class ServerThread:
             thread.join(timeout_s)
 
     def _abort_then_stop(self) -> None:
-        """Abort the open listeners and connections, then stop the loop one
-        iteration later, once the aborted transports have closed their
-        sockets (their ``connection_lost`` callbacks run in between)."""
+        """Abort the open listeners and connections, cancel every task the
+        abandoned drain left pending, and stop the loop once they have
+        unwound (or after ``ABORT_GRACE_S``).  Meanwhile the aborted
+        transports' ``connection_lost`` callbacks close their sockets, and
+        no coroutine is left half-run for ``loop.close()`` to drop; a
+        cancelled executor wait also ignores its worker finishing later."""
         self.server.abort()
         if self._http is not None:
             self._http.abort()
         loop = asyncio.get_running_loop()
-        loop.call_soon(loop.stop)
+        tasks = asyncio.all_tasks(loop)
+        for task in tasks:
+            task.cancel()
+
+        async def stop_when_unwound() -> None:
+            if tasks:
+                await asyncio.wait(tasks, timeout=self.ABORT_GRACE_S)
+            loop.stop()
+
+        loop.create_task(stop_when_unwound())
 
     def __enter__(self) -> str:
         return self.start()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ class TestEmbedIfMissing:
         service.query("gosh-fast", small_power_graph, vertices=0)
         service.query("verse", small_power_graph, vertices=0)
         assert service.store.stats()["lineages"] == 2
+
+    def test_embed_on_miss_releases_freed_heap(self, service, small_power_graph,
+                                              monkeypatch):
+        """A miss hands the embed's freed temporaries back to the OS once the
+        result is stored; a store hit embeds nothing and trims nothing."""
+        module = importlib.import_module("repro.api.service")
+        release = module._release_freed_heap
+        trims = []
+        monkeypatch.setattr(module, "_release_freed_heap", lambda: trims.append(1))
+        service.query("gosh-fast", small_power_graph, vertices=0)
+        service.query("gosh-fast", small_power_graph, vertices=0)
+        assert trims == [1]
+        release()   # the real call: glibc's malloc_trim, a no-op elsewhere
 
     def test_embed_stamps_graph_fingerprint(self, service, small_power_graph):
         result = service.embed("verse", small_power_graph)

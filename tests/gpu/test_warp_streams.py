@@ -1,4 +1,4 @@
-"""Unit tests for the warp execution model and the stream-overlap timeline."""
+"""Unit tests for the warp execution model."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.gpu import (
-    StreamTimeline,
     WarpConfig,
     WarpSchedule,
     vertices_per_warp,
@@ -75,40 +74,3 @@ class TestWarpConfigSchedule:
         cfg = WarpConfig(dim=64)
         schedule = WarpSchedule.build(np.arange(5), cfg)
         assert all(len(g) == 1 for g in schedule.sources_by_warp)
-
-
-class TestStreamTimeline:
-    def test_serial_makespan_is_sum(self):
-        tl = StreamTimeline()
-        tl.record_copy(1.0)
-        tl.record_kernel(2.0)
-        assert tl.serial_makespan == pytest.approx(3.0)
-
-    def test_overlap_hides_copy(self):
-        tl = StreamTimeline()
-        tl.record_copy(1.0)
-        tl.record_kernel(2.0)        # does not wait for the copy
-        assert tl.overlapped_makespan == pytest.approx(2.0)
-        assert tl.overlap_savings > 0
-
-    def test_kernel_waiting_for_copy(self):
-        tl = StreamTimeline()
-        tl.record_copy(1.5)
-        tl.record_kernel(1.0, wait_for_copies=True)
-        assert tl.overlapped_makespan == pytest.approx(2.5)
-
-    def test_copies_serialize_with_each_other(self):
-        tl = StreamTimeline()
-        tl.record_copy(1.0)
-        tl.record_copy(1.0)
-        assert tl.overlapped_makespan == pytest.approx(2.0)
-
-    def test_reset(self):
-        tl = StreamTimeline()
-        tl.record_copy(1.0)
-        tl.reset()
-        assert tl.serial_makespan == 0.0
-        assert tl.overlapped_makespan == 0.0
-
-    def test_empty_timeline_savings_zero(self):
-        assert StreamTimeline().overlap_savings == 0.0

@@ -20,6 +20,7 @@ from repro.embedding import GoshConfig, init_embedding
 from repro.gpu import DeviceSpec, SimulatedDevice
 from repro.gpu.backends import get_backend
 from repro.graph import contiguous_partition, social_community
+from repro.obs import trace
 from repro.large import (
     LargeGraphTrainer,
     PipelinedExecutor,
@@ -46,6 +47,17 @@ def _train(graph, mode, *, seed=0, epochs=20, dim=16, **cfg_kwargs):
     config = GoshConfig(seed=seed, execution_mode=mode, **cfg_kwargs)
     stats = LargeGraphTrainer(device, config).train(graph, emb, epochs=epochs)
     return emb, stats
+
+
+def traced_events(run):
+    """Run ``run()`` with tracing on; return its result and the events."""
+    trace.enable()
+    try:
+        result = run()
+        return result, trace.drain()
+    finally:
+        trace.disable()
+        trace.drain()
 
 
 @pytest.fixture(scope="module")
@@ -164,25 +176,25 @@ class TestPreparedKernelParity:
         assert plan.neg_targets.shape[0] == 2
 
 
-class TestExecutors:
-    def _setup(self, graph, num_parts=4, rotations=2, capacity=3, seed=0):
-        partition = contiguous_partition(graph.num_vertices, num_parts)
-        manager = SamplePoolManager(graph=graph, partition=partition,
-                                    batch_per_vertex=3,
-                                    max_resident_pools=capacity, seed=seed)
-        preparer = PoolPreparer(partition, get_backend("vectorized"),
-                                partition.global_to_local(), 2, seed)
-        schedule = build_schedule(rotations, inside_out_order(num_parts))
-        return manager, preparer, schedule
+def _executor_inputs(graph, num_parts=4, rotations=2, seed=0):
+    partition = contiguous_partition(graph.num_vertices, num_parts)
+    manager = SamplePoolManager(graph=graph, partition=partition,
+                                batch_per_vertex=3, seed=seed)
+    preparer = PoolPreparer(partition, get_backend("vectorized"),
+                            partition.global_to_local(), 2, seed)
+    schedule = build_schedule(rotations, inside_out_order(num_parts))
+    return manager, preparer, schedule
 
+
+class TestExecutors:
     def test_unknown_mode_raises(self, graph):
-        manager, preparer, schedule = self._setup(graph)
+        manager, preparer, schedule = _executor_inputs(graph)
         with pytest.raises(UnknownExecutionModeError) as exc:
             create_executor("warp-speed", manager, preparer, schedule, 3)
         assert "pipelined" in str(exc.value)
 
     def test_create_executor_dispatch(self, graph):
-        manager, preparer, schedule = self._setup(graph)
+        manager, preparer, schedule = _executor_inputs(graph)
         ex = create_executor("sequential", manager, preparer, schedule, 3)
         assert isinstance(ex, SequentialExecutor)
         ex.close()
@@ -193,7 +205,7 @@ class TestExecutors:
     def test_backpressure_bounds_ready_pools(self, graph):
         """An unconsumed producer must stop at the S_GPU queue bound."""
         capacity = 2
-        manager, preparer, schedule = self._setup(graph, capacity=capacity)
+        manager, preparer, schedule = _executor_inputs(graph)
         assert len(schedule) > capacity + 1
         with PipelinedExecutor(manager, preparer, schedule, capacity) as ex:
             deadline = time.monotonic() + 5.0
@@ -207,16 +219,15 @@ class TestExecutors:
         assert manager.stats()["pools_produced"] < len(schedule)
 
     def test_pipelined_delivers_in_schedule_order(self, graph):
-        manager, preparer, schedule = self._setup(graph)
+        manager, preparer, schedule = _executor_inputs(graph)
         with PipelinedExecutor(manager, preparer, schedule, 3) as ex:
             for entry in schedule:
                 ready = ex.next_ready()
                 assert ready.entry == entry
         assert manager.stats()["pools_produced"] == len(schedule)
-        assert manager.stats()["pools_consumed"] == len(schedule)
 
     def test_producer_error_reaches_consumer(self, graph):
-        manager, preparer, schedule = self._setup(graph)
+        manager, preparer, schedule = _executor_inputs(graph)
 
         class Boom(RuntimeError):
             pass
@@ -231,50 +242,79 @@ class TestExecutors:
 
     def test_close_unblocks_producer_midway(self, graph):
         """Consumer abandoning the run must not leave the producer wedged."""
-        manager, preparer, schedule = self._setup(graph, rotations=4, capacity=1)
+        manager, preparer, schedule = _executor_inputs(graph, rotations=4)
         ex = PipelinedExecutor(manager, preparer, schedule, 1)
         ex.next_ready()          # consume one, then walk away
         ex.close()
         assert not ex._thread.is_alive()
 
     def test_stats_shapes(self, graph):
-        manager, preparer, schedule = self._setup(graph)
+        manager, preparer, schedule = _executor_inputs(graph)
         for mode in ("sequential", "pipelined"):
-            m, p, s = self._setup(graph)
+            m, p, s = _executor_inputs(graph)
             with create_executor(mode, m, p, s, 3) as ex:
                 for _ in s:
                     ex.next_ready()
             stats = ex.stats
             assert stats.mode == mode
-            assert m.stats()["pools_consumed"] == len(s)
+            assert m.stats()["pools_produced"] == len(s)
             assert stats.stall_seconds >= 0.0
             assert stats.produce_seconds > 0.0
             assert stats.max_queue_depth <= 3
+
+
+class TestBuildCounts:
+    """The work each executor does, by count: one build and one preparation
+    per schedule entry, in schedule order, on the thread the mode names."""
+
+    @pytest.mark.parametrize("mode", ["pipelined", "sequential"])
+    def test_one_build_per_entry_on_the_right_thread(self, graph, mode):
+        manager, preparer, schedule = _executor_inputs(graph)
+        calls: dict[str, list] = {"build": [], "ready": []}
+        build, ready = manager.build_pool, preparer.ready
+
+        def counted_build(a, b, *, rotation=0):
+            calls["build"].append(((rotation, (a, b)), threading.current_thread().name))
+            return build(a, b, rotation=rotation)
+
+        def counted_ready(entry, pool):
+            calls["ready"].append((entry, threading.current_thread().name))
+            return ready(entry, pool)
+
+        manager.build_pool, preparer.ready = counted_build, counted_ready
+        with create_executor(mode, manager, preparer, schedule, 3) as ex:
+            for entry in schedule:
+                assert ex.next_ready().entry == entry
+        assert [key for key, _ in calls["build"]] == [(e.rotation, e.pair) for e in schedule]
+        assert [entry for entry, _ in calls["ready"]] == schedule
+        expected = ("gosh-pool-producer" if mode == "pipelined"
+                    else threading.current_thread().name)
+        assert {name for _, name in calls["build"] + calls["ready"]} == {expected}
 
 
 class TestSchedulerIntegration:
     def test_stats_carry_pipeline_record(self, graph):
         _, stats = _train(graph, "pipelined")
         assert stats.execution_mode == "pipelined"
-        assert stats.pipeline is not None
         # the ready queue never holds more than S_GPU pools
-        assert stats.pipeline.capacity == GoshConfig().resident_sample_pools
-        assert stats.max_ready_pools <= stats.pipeline.capacity
+        assert stats.max_ready_pools <= GoshConfig().resident_sample_pools
         assert stats.pool_stall_seconds >= 0.0
         assert stats.pool_produce_seconds > 0.0
         assert stats.max_ready_pools >= 1
 
     def test_timeline_records_pool_copies(self, graph):
-        _, stats = _train(graph, "pipelined")
-        copies = [e for e in stats.timeline.events if e.kind == "h2d"]
-        kernels = [e for e in stats.timeline.events if e.kind == "kernel"]
+        """The trace is the run's one timeline: a priced pool shipment and
+        a kernel span per launch."""
+        (_, stats), events = traced_events(lambda: _train(graph, "pipelined"))
+        copies = [e for e in events if e["name"] == "h2d"]
+        kernels = [e for e in events if e["name"] == "kernel"]
         assert len(copies) == stats.kernels          # one pool shipment per pair
         assert len(kernels) == stats.kernels
         # a pair with no cross edges ships an empty pool (zero-cost copy)
-        assert any(e.duration > 0 for e in copies)
-        assert all(e.duration >= 0 for e in copies)
-        # transfers now price into the serial makespan
-        assert stats.timeline.serial_makespan > sum(e.duration for e in kernels)
+        priced = [e["args"]["simulated_s"] for e in copies]
+        assert all(s >= 0 for s in priced)
+        assert any(s > 0 for s in priced)
+        assert sum(e["args"]["nbytes"] for e in copies) > 0
 
     def test_sequential_counts_production_as_stall(self, graph):
         _, stats = _train(graph, "sequential")

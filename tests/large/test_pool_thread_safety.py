@@ -1,15 +1,15 @@
 """Concurrency suite for :class:`~repro.large.sample_pool.SamplePoolManager`.
 
-The pipelined engine drives the manager from a producer thread while the
-consumer may still build on ``acquire`` misses, so the bounded buffer, the
-produced/consumed/sample counters, and the filtered-adjacency cache must
-hold their invariants under concurrent access:
+The pipelined engine builds pools on a producer thread while other threads
+may build too, so ``build_pool``'s produced/sample counters and the
+filtered-adjacency cache must hold their invariants under concurrent
+access:
 
-* ``resident_pools`` never exceeds ``max_resident_pools`` — even while
-  several threads prefetch at once (in-flight claims count against the cap);
-* counter totals are conserved: every produced pool is either consumed or
-  still buffered, and ``samples_produced`` equals the sum over built pools;
-* no (pair, rotation) pool is ever built twice by racing prefetches.
+* counter totals are conserved: ``pools_produced`` counts every build and
+  ``samples_produced`` equals the sum over built pools;
+* racing builders of the same (rotation, pair) return byte-equal pools;
+* the filtered cache makes one adjacency pass per part, however many
+  threads ask for it at once.
 
 Every test joins its workers with a hard timeout and fails — rather than
 hangs — if a worker deadlocks; ``pytest-timeout`` (active in CI) is a
@@ -31,11 +31,11 @@ pytestmark = pytest.mark.timeout(60)
 JOIN_TIMEOUT = 30.0
 
 
-def _make_manager(max_resident=3, num_parts=4, seed=0):
+def _make_manager(num_parts=4, seed=0):
     graph = social_community(300, intra_degree=6, seed=0)
     partition = contiguous_partition(graph.num_vertices, num_parts)
     return SamplePoolManager(graph=graph, partition=partition, batch_per_vertex=3,
-                             max_resident_pools=max_resident, seed=seed)
+                             seed=seed)
 
 
 def _run_workers(*targets):
@@ -61,91 +61,52 @@ def _run_workers(*targets):
         raise errors[0]
 
 
-class TestConcurrentPrefetch:
-    def test_buffer_never_exceeds_cap(self):
-        manager = _make_manager(max_resident=3)
-        pairs = inside_out_order(4)
-        max_seen = []
-
-        def prefetcher():
-            for _ in range(30):
-                manager.prefetch(pairs)
-                max_seen.append(manager.resident_pools)
-                for a, b in pairs[:2]:
-                    manager.acquire(a, b)
-
-        _run_workers(prefetcher, prefetcher)
-        assert max(max_seen) <= 3
-        assert manager.resident_pools <= 3
-
-    def test_racing_prefetches_never_build_a_pair_twice(self):
-        manager = _make_manager(max_resident=10)
-        pairs = inside_out_order(4)   # 10 pairs, all fit
-
-        _run_workers(lambda: manager.prefetch(pairs),
-                     lambda: manager.prefetch(list(reversed(pairs))))
-        stats = manager.stats()
-        assert stats["pools_produced"] == len(pairs)
-        assert manager.resident_pools == len(pairs)
-        assert sorted(manager.resident_pool_keys) == sorted(
-            (max(p), min(p)) for p in pairs)
-
-
 class TestConcurrentProduceConsume:
     def test_counter_totals_conserved(self):
-        manager = _make_manager(max_resident=4)
+        manager = _make_manager()
         pairs = inside_out_order(4)
         rounds = 25
-        consumed_samples = []
 
-        def producer():
-            for rotation in range(rounds):
-                manager.prefetch(pairs, rotation=rotation)
-
-        def consumer():
+        def builder():
             for rotation in range(rounds):
                 for a, b in pairs:
-                    pool = manager.acquire(a, b, rotation=rotation)
-                    consumed_samples.append(pool.num_samples)
+                    manager.build_pool(a, b, rotation=rotation)
 
-        _run_workers(producer, consumer)
-        stats = manager.stats()
-        assert stats["pools_consumed"] == rounds * len(pairs)
-        # conservation: everything produced was consumed or is still buffered
-        assert stats["pools_produced"] == stats["pools_consumed"] + stats["resident_pools"]
-        assert stats["resident_pools"] <= 4
+        _run_workers(builder, builder)
+        # no increment lost to a race: two builders, every pool counted
+        assert manager.stats()["pools_produced"] == 2 * rounds * len(pairs)
 
     def test_sample_counter_matches_built_pools(self):
-        manager = _make_manager(max_resident=2)
+        manager = _make_manager()
         pairs = inside_out_order(3)
+        built_samples: list[int] = []
 
-        def worker():
+        def builder():
             for rotation in range(10):
-                manager.prefetch(pairs, rotation=rotation)
                 for a, b in pairs:
-                    manager.acquire(a, b, rotation=rotation)
+                    pool = manager.build_pool(a, b, rotation=rotation)
+                    built_samples.append(pool.num_samples)
 
-        _run_workers(worker, worker)
+        _run_workers(builder, builder)
         stats = manager.stats()
-        # two workers over 10 rotations each: every acquire was served
-        assert stats["pools_consumed"] == 2 * 10 * len(pairs)
-        assert stats["pools_produced"] >= stats["pools_consumed"]
-        assert stats["samples_produced"] > 0
+        assert stats["pools_produced"] == len(built_samples) == 2 * 10 * len(pairs)
+        assert stats["samples_produced"] == sum(built_samples) > 0
 
     def test_concurrent_pools_stay_bit_identical(self):
         """Keyed streams make racing builders return identical pools."""
         results: dict[int, list] = {0: [], 1: []}
-        manager = _make_manager(max_resident=0)   # force every acquire to build
+        manager = _make_manager()
 
         def builder(slot):
             def run():
                 for rotation in range(8):
                     for a, b in inside_out_order(3):
                         results[slot].append(
-                            manager.acquire(a, b, rotation=rotation))
+                            manager.build_pool(a, b, rotation=rotation))
             return run
 
         _run_workers(builder(0), builder(1))
+        assert len(results[0]) == len(results[1]) == 8 * 6
         for p0, p1 in zip(results[0], results[1]):
             assert np.array_equal(p0.src, p1.src)
             assert np.array_equal(p0.dst, p1.dst)
@@ -153,7 +114,7 @@ class TestConcurrentProduceConsume:
 
 class TestFilteredCacheUnderConcurrency:
     def test_cache_entries_bounded_by_directions(self):
-        manager = _make_manager(max_resident=10, num_parts=4)
+        manager = _make_manager(num_parts=4)
         pairs = inside_out_order(4)
 
         _run_workers(
@@ -169,21 +130,15 @@ class TestFilteredCacheUnderConcurrency:
         assert cache["hits"] == 2 * (4 + 2 * (len(pairs) - 4)) - cache["builds"]
 
 
-class TestRotationKeyedBuffer:
-    def test_acquire_never_serves_stale_rotation_pool(self):
-        """A pool prefetched for one rotation must not satisfy another."""
-        manager = _make_manager(max_resident=4)
-        manager.prefetch([(1, 0)], rotation=7)
-        pool = manager.acquire(1, 0, rotation=2)        # miss: wrong rotation
-        fresh = _make_manager(max_resident=4).build_pool(1, 0, rotation=2)
+class TestRotationKeyedPools:
+    def test_pool_is_keyed_by_rotation(self):
+        """A (rotation, pair) pool depends on nothing but its key: byte-equal
+        to a fresh manager's build, different from another rotation's."""
+        manager = _make_manager()
+        other_rotation = manager.build_pool(1, 0, rotation=7)
+        pool = manager.build_pool(1, 0, rotation=2)
+        fresh = _make_manager().build_pool(1, 0, rotation=2)
         assert np.array_equal(pool.src, fresh.src)
         assert np.array_equal(pool.dst, fresh.dst)
-        assert manager.resident_pools == 1              # rotation-7 pool kept
-        manager.acquire(1, 0, rotation=7)               # served from buffer
+        assert not np.array_equal(pool.dst, other_rotation.dst)
         assert manager.stats()["pools_produced"] == 2
-        assert manager.resident_pools == 0
-
-    def test_resident_pool_keys_report_pairs(self):
-        manager = _make_manager(max_resident=4)
-        manager.prefetch([(1, 0), (2, 1)], rotation=3)
-        assert manager.resident_pool_keys == [(1, 0), (2, 1)]

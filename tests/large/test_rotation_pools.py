@@ -7,9 +7,13 @@ import pytest
 
 from repro.graph import contiguous_partition, social_community
 from repro.gpu import DeviceMemoryError, DeviceSpec, SimulatedDevice
+from repro.gpu.backends import get_backend
 from repro.large import (
     GPUState,
+    PoolPreparer,
     SamplePoolManager,
+    SequentialExecutor,
+    build_schedule,
     count_switches,
     inside_out_order,
     naive_order,
@@ -64,7 +68,7 @@ class TestSamplePoolManager:
         graph = social_community(200, intra_degree=6, seed=0)
         partition = contiguous_partition(graph.num_vertices, 4)
         manager = SamplePoolManager(graph=graph, partition=partition,
-                                    batch_per_vertex=3, max_resident_pools=2, seed=0)
+                                    batch_per_vertex=3, seed=0)
         return graph, partition, manager
 
     def test_pool_samples_cross_correct_parts(self, setup):
@@ -89,94 +93,35 @@ class TestSamplePoolManager:
         counts = np.bincount(pool.src, minlength=graph.num_vertices)
         assert counts.max() <= manager.batch_per_vertex
 
-    def test_prefetch_respects_buffer_limit(self, setup):
-        _, _, manager = setup
-        manager.prefetch([(1, 0), (2, 0), (3, 0), (2, 1)])
-        assert manager.resident_pools <= manager.max_resident_pools
-
-    def test_acquire_consumes_buffered_pool(self, setup):
-        _, _, manager = setup
-        manager.prefetch([(1, 0)])
-        produced_before = manager.pools_produced
-        pool = manager.acquire(1, 0)
-        assert pool.part_a == 1 and pool.part_b == 0
-        assert manager.pools_produced == produced_before  # reused the buffered one
-        assert manager.pools_consumed == 1
-        assert manager.resident_pools == 0
-
-    def test_acquire_builds_on_miss(self, setup):
-        _, _, manager = setup
-        manager.acquire(3, 2)
-        assert manager.pools_produced == 1
-        assert manager.stats()["pools_consumed"] == 1
-
 
 class TestSamplePoolCounters:
-    """Producer/consumer counters and bounded-queue refill semantics."""
+    """Production counters and the filtered-adjacency cache."""
 
-    def _manager(self, max_resident=2, backend=None, seed=0):
+    def _manager(self, backend=None, seed=0):
         graph = social_community(200, intra_degree=6, seed=0)
         partition = contiguous_partition(graph.num_vertices, 4)
         kwargs = {} if backend is None else {"sampler_backend": backend}
         return SamplePoolManager(graph=graph, partition=partition,
-                                 batch_per_vertex=3,
-                                 max_resident_pools=max_resident, seed=seed,
-                                 **kwargs)
+                                 batch_per_vertex=3, seed=seed, **kwargs)
 
     def test_counters_track_production_and_consumption(self):
-        manager = self._manager(max_resident=3)
-        manager.prefetch([(1, 0), (2, 0), (2, 1)])
-        assert manager.pools_produced == 3
-        assert manager.pools_consumed == 0
-        assert manager.resident_pools == 3
-        pools = [manager.acquire(1, 0), manager.acquire(2, 1)]
-        assert manager.pools_consumed == 2
-        assert manager.pools_produced == 3          # both were buffered
-        assert manager.resident_pools == 1
-        # a miss builds on demand: produced and consumed advance together
-        pools.append(manager.acquire(3, 0))
-        assert manager.pools_produced == 4
-        assert manager.pools_consumed == 3
-        assert manager.samples_produced == sum(
-            p.num_samples for p in pools) + manager.acquire(2, 0).num_samples
-        assert manager.pools_consumed == 4
-
-    def test_buffer_keys_keep_production_order(self):
-        manager = self._manager(max_resident=3)
-        manager.prefetch([(3, 0), (1, 0), (2, 1), (2, 0)])
-        # Bounded queue: only the first max_resident pairs were produced,
-        # buffered oldest-first in production order (normalised keys).
-        assert manager.resident_pool_keys == [(3, 0), (1, 0), (2, 1)]
-
-    def test_acquire_frees_slot_for_refill(self):
-        manager = self._manager(max_resident=2)
-        manager.prefetch([(1, 0), (2, 0), (2, 1)])
-        assert manager.resident_pool_keys == [(1, 0), (2, 0)]
-        manager.acquire(1, 0)                        # consume the oldest
-        manager.prefetch([(2, 0), (2, 1)])           # refill the freed slot
-        assert manager.resident_pool_keys == [(2, 0), (2, 1)]
-        assert manager.pools_produced == 3           # (2, 0) was not rebuilt
-
-    def test_acquire_out_of_order_preserves_remaining_order(self):
-        manager = self._manager(max_resident=3)
-        manager.prefetch([(1, 0), (2, 0), (2, 1)])
-        manager.acquire(2, 0)                        # consume from the middle
-        assert manager.resident_pool_keys == [(1, 0), (2, 1)]
-
-    def test_prefetch_normalises_and_dedupes_keys(self):
-        manager = self._manager(max_resident=4)
-        manager.prefetch([(0, 1), (1, 0), (1, 0)])
-        assert manager.pools_produced == 1
-        assert manager.resident_pool_keys == [(1, 0)]
+        """Every pool an executor hands out was built exactly once and
+        counted: produced == consumed, samples summed over what was used."""
+        manager = self._manager()
+        partition = manager.partition
+        preparer = PoolPreparer(partition, get_backend("reference"),
+                                partition.global_to_local(), 2, 0)
+        schedule = build_schedule(2, inside_out_order(4))
+        with SequentialExecutor(manager, preparer, schedule, 2) as executor:
+            consumed = [executor.next_ready().pool for _ in schedule]
+        assert manager.pools_produced == len(consumed) == len(schedule)
+        assert manager.samples_produced == sum(p.num_samples for p in consumed) > 0
 
     def test_stats_shape(self):
         manager = self._manager(backend="vectorized")
-        manager.prefetch([(1, 0)])
-        manager.acquire(1, 0)
+        manager.build_pool(1, 0)
         stats = manager.stats()
         assert stats["pools_produced"] == 1
-        assert stats["pools_consumed"] == 1
-        assert stats["resident_pools"] == 0
         assert stats["samples_produced"] > 0
         assert stats["sampler_backend"] == "vectorized"
         # pool (1, 0) samples both directions -> two filtered sub-CSRs built

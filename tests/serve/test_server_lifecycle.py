@@ -349,12 +349,6 @@ class TestServerThreadLifecycle:
         finally:
             handle.stop(timeout_s=TIMEOUT)
 
-    # Releasing the wedged batch after the loop is gone makes the executor
-    # callback hit a closed loop, and the abandoned server coroutines die
-    # un-awaited — expected collateral of the abandoned drain.
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_drain_past_timeout_raises_and_still_joins_the_thread(self, stub):
         server = make_server(stub)
         handle = ServerThread(server)
@@ -374,19 +368,14 @@ class TestServerThreadLifecycle:
         finally:
             stub.release.set()                    # let the worker thread exit
             c.close()
-            # Reap the abandoned-drain debris (half-run server coroutines,
-            # the executor callback hitting the closed loop) while the
-            # warning filters above are still active.
+            # Let the released worker finish and collect the server here, so
+            # any coroutine the stop left half-run, or an executor callback
+            # hitting the closed loop, is reported against this test.
             time.sleep(0.05)
             server._connections.clear()
             del server, handle
             gc.collect()
 
-    # The same collateral as above: the server's coroutines still die
-    # un-awaited with the abandoned loop; only their sockets are closed now.
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_drain_past_timeout_aborts_every_open_transport(self, stub):
         """The abandoned drain leaves no socket open behind the stopped
         loop: a transport that outlives its loop can never be closed."""
