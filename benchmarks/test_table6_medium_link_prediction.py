@@ -5,7 +5,10 @@ GraphVite-like, and the four GOSH configurations), evaluates link-prediction
 AUCROC, and prints the paper's columns: Algorithm, Time, Speedup vs VERSE,
 AUCROC.  Epoch budgets are scaled by ``REPRO_BENCH_SCALE`` so the whole table
 regenerates in minutes; speedup ratios and the quality ordering are the
-quantities compared against the paper.
+quantities compared against the paper.  The orderings among the GOSH
+configurations are asserted on each tool's own simulated device (its cost
+model), not on wall-clock: sub-second host times swap places under outside
+load.
 
 Set REPRO_BENCH_TABLE6_GRAPHS to a comma-separated subset (default: two
 representative graphs, one sparse and one dense) to bound runtime; pass
@@ -18,6 +21,7 @@ import os
 
 import pytest
 
+from repro.gpu import SimulatedDevice
 from repro.harness import ExperimentRunner, MEDIUM_DATASETS, default_tools, load_dataset, print_table
 
 from conftest import BENCH_DIM, BENCH_SCALE
@@ -28,25 +32,36 @@ if _selector.strip().lower() == "all":
 else:
     GRAPH_NAMES = [name.strip() for name in _selector.split(",") if name.strip()]
 
-TOOLS = ["Verse", "Mile", "Graphvite", "Gosh-fast", "Gosh-normal", "Gosh-slow", "Gosh-NoCoarse"]
+GOSH_TOOLS = ["Gosh-fast", "Gosh-normal", "Gosh-slow", "Gosh-NoCoarse"]
+TOOLS = ["Verse", "Mile", "Graphvite", *GOSH_TOOLS]
 
 
 @pytest.fixture(scope="module")
 def table6_results():
-    runner = ExperimentRunner(
-        tools=default_tools(dim=BENCH_DIM, epoch_scale=BENCH_SCALE, seed=0),
-        baseline_tool="Verse", seed=0,
-    )
+    tools = default_tools(dim=BENCH_DIM, epoch_scale=BENCH_SCALE, seed=0)
+    for name in GOSH_TOOLS:
+        tools[name].device = SimulatedDevice()
+    runner = ExperimentRunner(tools=tools, baseline_tool="Verse", seed=0)
+    device_seconds: dict[tuple[str, str], float] = {}
     for name in GRAPH_NAMES:
-        runner.run_graph(load_dataset(name, seed=0), tools=TOOLS)
-    return runner
+        graph = load_dataset(name, seed=0)
+        runner.run_graph(graph, tools=TOOLS)
+        for tool in GOSH_TOOLS:
+            device = tools[tool].device
+            device_seconds[graph.name, tool] = (device.simulated_compute_seconds
+                                                + device.simulated_transfer_seconds)
+            device.reset()
+    return runner, device_seconds
 
 
 def test_table6_rows(table6_results):
-    rows = table6_results.rows()
-    print_table(rows, title=f"Table 6 — link prediction on medium twins (scale={BENCH_SCALE})")
+    runner, device_seconds = table6_results
+    print_table(runner.rows(), title=f"Table 6 — link prediction on medium twins (scale={BENCH_SCALE})")
+    print_table([{"Graph": graph, "Algorithm": tool, "Sim device time (s)": f"{seconds:.3e}"}
+                 for (graph, tool), seconds in device_seconds.items()],
+                title="Table 6 — GOSH simulated device time")
     by_graph: dict[str, dict[str, object]] = {}
-    for run in table6_results.results:
+    for run in runner.results:
         by_graph.setdefault(run.graph, {})[run.tool] = run
 
     for graph_name, tools in by_graph.items():
@@ -58,10 +73,11 @@ def test_table6_rows(table6_results):
             assert gosh.seconds < verse.seconds
             # and the embedding is useful (far above chance)
             assert gosh.auc is not None and gosh.auc > 0.6
-        # fast <= normal <= slow in wall-clock time
-        assert tools["Gosh-fast"].seconds <= tools["Gosh-normal"].seconds <= tools["Gosh-slow"].seconds
-        # the no-coarsening configuration is the slowest GOSH variant
-        assert tools["Gosh-NoCoarse"].seconds > tools["Gosh-fast"].seconds
+        sim = {tool: device_seconds[graph_name, tool] for tool in GOSH_TOOLS}
+        # fast <= normal <= slow in simulated device time
+        assert sim["Gosh-fast"] <= sim["Gosh-normal"] <= sim["Gosh-slow"]
+        # the no-coarsening configuration costs more than the fast one
+        assert sim["Gosh-NoCoarse"] > sim["Gosh-fast"]
 
 
 def test_table6_gosh_fast_benchmark(benchmark):

@@ -21,9 +21,8 @@ Two canonical modes:
   being absorbed by client back-pressure.
 
 :class:`LoadGenerator` holds every sample (it is a harness, not a resident
-process) and reports exact percentiles; :meth:`LoadReport.as_json` is the
-payload recorded to ``bench_results/serve_load.json`` by the perf-smoke
-benchmark so the SLO trajectory joins the repo's other perf artifacts.
+process) and reports exact percentiles; :meth:`LoadReport.as_json` renders
+the report as a JSON-ready dict (the ``load`` CLI prints it).
 """
 
 from __future__ import annotations

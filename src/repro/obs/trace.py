@@ -23,10 +23,11 @@ ids travel in span ``args`` (``trace`` / ``span`` / ``parent``), so one
 user query through a router and N shards renders as a single correlated
 trace even when the processes export separate files.
 
-Overhead contract (pinned by ``benchmarks/test_obs_overhead.py``): when
-tracing is disabled — the default — a span site costs one module-attribute
-read plus returning a shared no-op singleton, a few tens of nanoseconds
-and **zero allocation**.  Hot loops can skip even that with an explicit
+Overhead contract (pinned by ``tests/obs/test_trace_overhead.py``; the
+enabled cost is perfbench's ``trace.overhead_pct``): when tracing is
+disabled — the default — a span site costs one module-attribute read plus
+returning a shared no-op singleton, a few tens of nanoseconds and **zero
+allocation**.  Hot loops can skip even that with an explicit
 ``if trace.enabled:`` guard.
 """
 

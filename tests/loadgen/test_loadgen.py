@@ -12,17 +12,23 @@ import pytest
 from repro.api import EmbeddingService
 from repro.graph import powerlaw_cluster
 from repro.loadgen import LoadConfig, LoadGenerator
-from repro.serve import QueryServer, ServerThread
+from repro.serve import QueryServer, ServerThread, ShardRouter
 
 pytestmark = pytest.mark.timeout(120)
 
 
 @pytest.fixture(scope="module")
-def served(tmp_path_factory):
+def stored(tmp_path_factory):
     graph = powerlaw_cluster(300, m=3, p_triangle=0.5, seed=7)
     service = EmbeddingService(dim=8, epoch_scale=0.02,
                                store=tmp_path_factory.mktemp("store"))
     service.ensure_stored("gosh-fast", graph)
+    return service, graph
+
+
+@pytest.fixture(scope="module")
+def served(stored):
+    service, graph = stored
     server = QueryServer(service, {"g": graph}, default_tool="gosh-fast")
     handle = ServerThread(server)
     address = handle.start()
@@ -54,11 +60,29 @@ class TestClosedLoop:
         assert 0.0 <= report.queue_wait_share <= 1.0
         # Server-side breakdown was captured for every answered request.
         assert report.queue_wait_ms["count"] == report.answered
-        # The report is a JSON artifact (record_perf_json feeds on it).
+        # The report renders as JSON (`load --json` writes it).
         payload = json.loads(json.dumps(report.as_json()))
         assert payload["answered"] == report.answered
         assert set(payload["latency_ms"]) == {"count", "mean", "p50", "p95",
                                               "p99", "max"}
+
+
+class TestRoutedClosedLoop:
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_routed_run_is_clean_on_every_shard(self, stored, shards):
+        service, graph = stored
+        router = ShardRouter.spawn(service, {"g": graph}, shard_count=shards,
+                                   default_tool="gosh-fast")
+        with router as address:
+            report = LoadGenerator(LoadConfig(
+                address=address, clients=4, mode="closed", duration_s=60.0,
+                requests_per_client=5, num_vertices=300, seed=shards)).run()
+            backend = router.backend
+            assert report.sent == report.answered == 20
+            assert report.errors == 0
+            assert report.timeouts == 0 and report.disconnects == 0
+            assert backend.shard_errors == 0
+            assert backend.shard_queries == report.sent * shards
 
 
 class TestOpenLoop:

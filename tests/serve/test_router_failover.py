@@ -527,6 +527,50 @@ class TestReplicaFailover:
             assert group.failovers == failovers_before
             assert router.backend.requests_failed == 0
 
+    def test_failover_under_concurrent_clients(self, service, graph):
+        # Range 0's primary dies once every client holds its first reply
+        # (the barrier's action runs before any client moves on); the
+        # remaining rounds fail over within their requests, bit-exact.
+        # Shards answer one query per matmul: a stacked microbatch rounds
+        # scores differently from the single-query oracle.
+        clients, rounds = 4, 5
+        router = ShardRouter.spawn(service, {"pl300": graph}, shard_count=2,
+                                   replicas=2, default_tool="gosh-fast",
+                                   shard_max_batch=1,
+                                   shard_timeout_s=TIMEOUT,
+                                   probe_interval_s=60.0,
+                                   probe_backoff_max_s=60.0)
+        first_replies = threading.Barrier(clients,
+                                          action=router._owned[0].stop)
+        replies, errors = [], []
+
+        def run_client(i, address):
+            try:
+                with ServeClient(address, timeout_s=30.0) as client:
+                    for r in range(rounds):
+                        vertex = (61 * i + 17 * r) % graph.num_vertices
+                        replies.append((vertex, client.query(vertices=[vertex],
+                                                             k=5)))
+                        if r == 0:
+                            first_replies.wait(TIMEOUT)
+            except Exception as exc:             # surfaced by the assert below
+                errors.append(exc)
+
+        with router as address:
+            threads = [threading.Thread(target=run_client, args=(i, address))
+                       for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(TIMEOUT * 3)
+            assert errors == []
+            assert router.backend.groups[0].failovers >= 1
+            assert router.backend.requests_failed == 0
+        assert len(replies) == clients * rounds
+        for vertex, reply in replies:
+            assert_bit_exact(reply, service.query("gosh-fast", graph,
+                                                  vertices=[vertex], k=5))
+
     def test_draining_replica_triggers_failover_too(self, service, graph):
         # A replica mid-drain still answers the socket but refuses queries
         # with "shutting-down" — its own reply says "retry elsewhere".  The

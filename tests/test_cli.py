@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.graph import write_edge_list
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -507,17 +513,24 @@ class TestCrashSafetyCli:
                 "--store-dir", str(tmp_path / "store"),
                 "-o", str(tmp_path / out_name), *extra]
 
+    @pytest.mark.parametrize("kill_spec", ["rotation-boundary:2",
+                                           "level-boundary:1"])
     def test_kill_resume_round_trip_is_bit_exact(self, tmp_path, graph_file,
-                                                 capsys):
+                                                 capsys, kill_spec):
         from repro.cli import EXIT_INJECTED_FAULT
 
         assert main(self.embed_args(tmp_path, graph_file, "golden.npy")) == 0
-        code = main(self.embed_args(
-            tmp_path, graph_file, "crashed.npy",
-            "--checkpoint-every", "1", "--inject-fault", "rotation-boundary:2"))
-        assert code == EXIT_INJECTED_FAULT
-        out = capsys.readouterr().out
-        assert "injected fault" in out and "--resume" in out
+        # The crashed run is a real process death: only the store carries
+        # its checkpoints over to the resumed run.
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *self.embed_args(
+                tmp_path, graph_file, "crashed.npy",
+                "--checkpoint-every", "1", "--inject-fault", kill_spec)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=300)
+        assert crashed.returncode == EXIT_INJECTED_FAULT, crashed.stderr
+        assert "injected fault" in crashed.stdout
+        assert "--resume" in crashed.stdout
         assert not (tmp_path / "crashed.npy").exists()
 
         code = main(self.embed_args(tmp_path, graph_file, "resumed.npy",
