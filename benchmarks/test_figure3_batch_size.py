@@ -40,6 +40,8 @@ def figure3_rows():
         rows.append({
             "B": B,
             "Time (s)": round(seconds, 3),
+            "Device (ms)": round(1e3 * (device.simulated_compute_seconds
+                                        + device.simulated_transfer_seconds), 3),
             "AUCROC (%)": round(100 * quality.auc, 2),
             "rotations": stats.rotations if stats else "-",
             "kernels": stats.kernels if stats else "-",
@@ -53,8 +55,9 @@ def test_figure3_batch_size_tradeoff(figure3_rows):
     # Larger B => fewer rotations (the mechanism behind the paper's speedup).
     assert by_b[20]["rotations"] <= by_b[1]["rotations"]
     assert by_b[5]["rotations"] <= by_b[1]["rotations"]
-    # Larger B => fewer rotation sweeps => lower or comparable embedding time.
-    assert by_b[5]["Time (s)"] <= by_b[1]["Time (s)"] * 1.25
+    # Larger B => fewer rotation sweeps => lower or comparable embedding time,
+    # on each B's own simulated device (the host time is printed, not gated).
+    assert by_b[5]["Device (ms)"] <= by_b[1]["Device (ms)"] * 1.25
     # Quality stays in a usable band across the sweep.  Note: at twin scale
     # the rotation count is quantised (ceil(e / (B*K)) reaches 1 quickly), so
     # the paper's accuracy *degradation* at large B is muted here; the bench

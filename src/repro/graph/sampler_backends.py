@@ -11,9 +11,8 @@ layer in :mod:`repro.gpu.backends`:
 * ``"vectorized"`` — whole-part batched NumPy sampling over a
   :class:`FilteredAdjacency` sub-CSR (only the edges landing in the partner
   part), built once per (part, partner-part) and reused across rotations
-  through a :class:`FilteredAdjacencyCache`.  Default; ≥5× faster pool
-  production on 50k-edge graphs (floor enforced by
-  ``benchmarks/test_sampler_backend_perf.py``).
+  through a :class:`FilteredAdjacencyCache`.  Default; perfbench measures
+  its pool production as ``large.pool_produce_s``.
 * ``"degree_biased"`` — GraphVite-style positive weighting: a vertex's
   partner-part neighbours are drawn proportionally to ``deg^0.75`` instead
   of uniformly, concentrating positive updates on hub neighbours.  Consumes

@@ -31,7 +31,7 @@ consumer thread, which makes pipelined and sequential execution
 
 Every handover is timed: :class:`PipelineStats` sums the consumer's stall
 and the producer's build + prepare time and keeps the peak ready-queue
-depth — the numbers behind ``benchmarks/test_pipeline_perf.py``; with
+depth — perfbench reports the stall as ``large.pool_stall_s``; with
 tracing on, each pool's production is also a ``pool-produce`` span.
 """
 

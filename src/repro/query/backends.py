@@ -6,20 +6,19 @@ name-based registration (:data:`QUERY_BACKENDS`) for third parties.
 
 * ``"exact"`` — the brute-force oracle: score every row against every query
   in one pass and fully sort each query's score column.  Clarity over speed.
-* ``"blocked"`` — the production path (default): stream the matrix in row
-  blocks, keep only each block's top-k candidates (plus score ties at the
-  boundary), and merge at the end.  It never materialises the full
-  ``|V| x Q`` score matrix and replaces the oracle's per-query full sorts
-  with O(|V|) partial selection, so throughput scales with matmul instead of
-  sorting (floor ≥5x in ``benchmarks/test_query_perf.py``).
+* ``"blocked"`` — the production path (default): copy scored row blocks into
+  one window buffer of at most :data:`WINDOW_FLOATS` floats, keep only each
+  window's top-k candidates (plus score ties at the boundary), and merge at
+  the end: no ``|V| x Q`` score matrix, no full sorts, and one selection per
+  window, not per block (perfbench measures it as ``query.engine_us``).
 
 **Parity is exact.**  Both backends score through the same primitive
 (:meth:`PreparedMatrix.score_block`) over the *same* ``block_rows`` grid —
 identical float32 matmuls on identical row ranges, so the score bits cannot
 drift even on BLAS builds whose accumulation order varies with the matrix
 shape.  What differs is only the selection: the oracle sorts every score,
-the blocked backend keeps per-block top-k candidates — including *every*
-candidate tied with a block's k-th best score, so boundary ties cannot evict
+the blocked backend keeps per-window top-k candidates — including *every*
+candidate tied with a window's k-th best score, so boundary ties cannot evict
 the id the oracle would keep — and both break ties identically (smaller id
 wins, via :func:`topk_by_score`).  The golden suite in ``tests/query/``
 pins ids *and* score bits across block sizes.
@@ -58,6 +57,11 @@ __all__ = [
 METRICS = ("dot", "cosine", "sigmoid")
 
 DEFAULT_QUERY_BACKEND = "blocked"
+
+#: Scores one selection window holds at most (4 MiB): consecutive whole
+#: canonical blocks, at least one, so a small microbatch over a shard selects
+#: once and a large one stays bounded at ``WINDOW_FLOATS // Q`` rows.
+WINDOW_FLOATS = 1 << 20
 
 
 @dataclass
@@ -192,13 +196,47 @@ class QueryBackend(Protocol):
         ...
 
 
+def _scored_windows(prepared: PreparedMatrix, q: np.ndarray,
+                    inv_qnorms: np.ndarray | None, block_rows: int, lo: int,
+                    hi: int, window_rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Score the canonical blocks overlapping ``[lo, hi)``, window by window.
+
+    Yields ``(base, window)``: a ``(rows, Q)`` view of one reused buffer
+    holding the in-range scores of consecutive whole blocks, row ``i`` for
+    vertex ``base + i``.  Edge blocks are scored in full and masked after, so
+    a ranged run's bits match the full run.  Each window overwrites the last.
+    """
+    buf = np.empty((min(window_rows, hi - lo), q.shape[0]), dtype=np.float32)
+    base = fill = 0
+    for start, stop in prepared.blocks(block_rows):
+        if stop <= lo or start >= hi:
+            continue
+        a, b = max(start, lo), min(stop, hi)
+        if fill + b - a > len(buf):
+            yield base, buf[:fill]
+            fill = 0
+        if not fill:
+            base = a
+        block = prepared.score_block(start, stop, q, inv_qnorms)
+        buf[fill:fill + b - a] = block[a - start:b - start]
+        fill += b - a
+    yield base, buf[:fill]
+
+
+def _ranked(k: int, columns: Iterator[tuple[np.ndarray, np.ndarray]],
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Stack each query's :func:`topk_by_score` over its ``(ids, scores)``."""
+    ids, scores = zip(*(topk_by_score(i, s, k) for i, s in columns))
+    return np.stack(ids), np.stack(scores)
+
+
 class ExactQueryBackend:
     """Brute force oracle: materialise every score, fully sort every query.
 
-    Scoring walks the same block grid as the blocked backend (see
-    :meth:`PreparedMatrix.blocks`) so the two backends' score bits are
-    identical by construction; everything after — keep all ``|V| x Q``
-    scores, full per-query sort — is deliberately naive.
+    Scoring fills one window spanning the whole range on the blocked
+    backend's block grid (see :meth:`PreparedMatrix.blocks`), so the two
+    backends' score bits are identical by construction; everything after —
+    keep all ``|V| x Q`` scores, full per-query sort — is deliberately naive.
     """
 
     name = "exact"
@@ -212,39 +250,23 @@ class ExactQueryBackend:
              vertex_range: "tuple[int, int] | None" = None,
              ) -> tuple[np.ndarray, np.ndarray]:
         q, inv_qnorms = prepared.prepare_queries(queries)
-        n = prepared.num_rows
-        lo, hi = resolve_vertex_range(vertex_range, n)
+        lo, hi = resolve_vertex_range(vertex_range, prepared.num_rows)
         k = min(k, hi - lo)
-        if n == 0 or k == 0:
-            return (np.empty((q.shape[0], 0), dtype=np.int64),
-                    np.empty((q.shape[0], 0), dtype=np.float32))
-        # Score whole canonical blocks even at the range edges — masking
-        # happens after scoring, so a ranged run's bits match the full run.
-        parts_ids: list[np.ndarray] = []
-        parts_scores: list[np.ndarray] = []
-        for start, stop in prepared.blocks(block_rows):
-            if stop <= lo or start >= hi:
-                continue
-            block = prepared.score_block(start, stop, q, inv_qnorms)
-            a, b = max(start, lo) - start, min(stop, hi) - start
-            parts_ids.append(np.arange(start + a, start + b, dtype=np.int64))
-            parts_scores.append(block[a:b])
-        all_ids = np.concatenate(parts_ids)
-        scores = np.concatenate(parts_scores, axis=0)
-        out_ids = np.empty((q.shape[0], k), dtype=np.int64)
-        out_scores = np.empty((q.shape[0], k), dtype=np.float32)
-        for j in range(q.shape[0]):
-            out_ids[j], out_scores[j] = topk_by_score(all_ids, scores[:, j], k)
-        return out_ids, out_scores
+        if k == 0 or len(q) == 0:
+            return np.empty((len(q), k), np.int64), np.empty((len(q), k), np.float32)
+        (_, scores), = _scored_windows(prepared, q, inv_qnorms, block_rows,
+                                       lo, hi, hi - lo)
+        ids = np.arange(lo, hi, dtype=np.int64)
+        return _ranked(k, ((ids, column) for column in scores.T))
 
 
 class BlockedQueryBackend:
-    """Chunked float32 matmul with per-block candidate selection (default)."""
+    """Chunked float32 matmul with per-window candidate selection (default)."""
 
     name = "blocked"
 
     def describe(self) -> str:
-        return ("blocked: chunked float32 matmul, per-block top-k candidates "
+        return ("blocked: chunked float32 matmul, per-window top-k candidates "
                 "(ties kept), merged per query (default)")
 
     def topk(self, prepared: PreparedMatrix, queries: np.ndarray, k: int, *,
@@ -252,57 +274,37 @@ class BlockedQueryBackend:
              vertex_range: "tuple[int, int] | None" = None,
              ) -> tuple[np.ndarray, np.ndarray]:
         q, inv_qnorms = prepared.prepare_queries(queries)
-        n, num_q = prepared.num_rows, q.shape[0]
-        lo, hi = resolve_vertex_range(vertex_range, n)
+        num_q = len(q)
+        lo, hi = resolve_vertex_range(vertex_range, prepared.num_rows)
         k = min(k, hi - lo)
-        if n == 0 or k == 0:
-            return (np.empty((num_q, 0), dtype=np.int64),
-                    np.empty((num_q, 0), dtype=np.float32))
-        cand_ids: list[np.ndarray] = []
-        cand_cols: list[np.ndarray] = []
-        cand_scores: list[np.ndarray] = []
-        for start, stop in prepared.blocks(block_rows):
-            if stop <= lo or start >= hi:
-                continue
-            scores = prepared.score_block(start, stop, q, inv_qnorms)
-            # Mask out-of-range rows only after the full-block matmul, so
-            # the surviving rows' score bits equal the unranged run's.
-            a, b = max(start, lo) - start, min(stop, hi) - start
-            if a or b < stop - start:
-                scores = scores[a:b]
-            base = start + a
-            rows = b - a
+        if k == 0 or num_q == 0:
+            return np.empty((num_q, k), np.int64), np.empty((num_q, k), np.float32)
+        window_rows = max(WINDOW_FLOATS // (num_q * block_rows), 1) * block_rows
+        flat: list[np.ndarray] = []             # candidates' row * Q + query
+        kept: list[np.ndarray] = []
+        for base, scores in _scored_windows(prepared, q, inv_qnorms, block_rows,
+                                            lo, hi, window_rows):
+            rows = len(scores)
             if rows > k:
-                # k-th best score per query; keep everything scoring >= it
-                # so boundary ties survive to the merge (where the shared
-                # smaller-id-wins rule resolves them exactly like the
-                # oracle).  NaN scores rank *last* in the final sort, but
-                # np.partition orders them like +inf — so sanitise them to
-                # -inf for the threshold: they then stop stealing top-k
-                # slots from finite scores, and survive as candidates only
-                # when a block has fewer than k finite rows (threshold
-                # -inf), which is exactly when the oracle's answer could
-                # need its NaN tail.
-                ranked = np.where(np.isnan(scores), -np.inf, scores)
-                part = np.partition(ranked, rows - k, axis=0)
-                thresholds = part[rows - k]
-                keep_rows, keep_cols = np.nonzero(ranked >= thresholds[None, :])
+                # Keep every score >= the k-th best, so ties reach the
+                # merge's smaller-id-wins rule.  NaN ranks last there but
+                # like +inf in np.partition, so it counts as -inf here: it
+                # survives only when a window has fewer than k finite rows.
+                ranked = scores
+                if np.isnan(scores).any():
+                    ranked = np.where(np.isnan(scores), -np.inf, scores)
+                thresholds = np.partition(ranked, rows - k, axis=0)[rows - k]
+                keep = np.flatnonzero(ranked >= thresholds)
             else:
-                keep_rows, keep_cols = np.nonzero(np.ones_like(scores, dtype=bool))
-            cand_ids.append((base + keep_rows).astype(np.int64))
-            cand_cols.append(keep_cols)
-            cand_scores.append(scores[keep_rows, keep_cols])
-        ids = np.concatenate(cand_ids)
-        cols = np.concatenate(cand_cols)
-        merged = np.concatenate(cand_scores)
-        out_ids = np.empty((num_q, k), dtype=np.int64)
-        out_scores = np.empty((num_q, k), dtype=np.float32)
+                keep = np.arange(scores.size)
+            flat.append(base * num_q + keep)
+            kept.append(scores.ravel()[keep])
+        ids, cols = np.divmod(np.concatenate(flat), num_q)
+        merged = np.concatenate(kept)
         order = np.argsort(cols, kind="stable")
         bounds = np.searchsorted(cols[order], np.arange(num_q + 1))
-        for j in range(num_q):
-            sel = order[bounds[j]:bounds[j + 1]]
-            out_ids[j], out_scores[j] = topk_by_score(ids[sel], merged[sel], k)
-        return out_ids, out_scores
+        sels = (order[bounds[j]:bounds[j + 1]] for j in range(num_q))
+        return _ranked(k, ((ids[sel], merged[sel]) for sel in sels))
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..obs import trace
 from .backends import (
-    METRICS,
     PreparedMatrix,
     QueryBackend,
     get_query_backend,
@@ -77,8 +76,6 @@ class QueryEngine:
     def __init__(self, embedding: np.ndarray, *, metric: str = "cosine",
                  backend: "str | QueryBackend | None" = None,
                  block_rows: int = 4096):
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; options: {', '.join(METRICS)}")
         if block_rows < 1:
             raise ValueError("block_rows must be >= 1")
         self.prepared = PreparedMatrix(embedding, metric=metric)
@@ -167,13 +164,11 @@ class QueryEngine:
         want = min(k, max(size - 1, 0))
         result = self.query(self.prepared.matrix[idx], min(want + 1, size),
                             backend=backend, vertex_range=vertex_range)
-        out_ids = np.empty((idx.shape[0], want), dtype=np.int64)
-        out_scores = np.empty((idx.shape[0], want), dtype=np.float32)
-        for j, v in enumerate(idx):
-            keep = np.flatnonzero(result.ids[j] != v)[:want]
-            out_ids[j] = result.ids[j, keep]
-            out_scores[j] = result.scores[j, keep]
-        return QueryResult(ids=out_ids, scores=out_scores, metric=result.metric,
+        # Each row's first `want` ids other than its own vertex, in rank order.
+        keep = np.argsort(result.ids == idx[:, None], axis=1, kind="stable")[:, :want]
+        return QueryResult(ids=np.take_along_axis(result.ids, keep, 1),
+                           scores=np.take_along_axis(result.scores, keep, 1),
+                           metric=result.metric,
                            backend=result.backend, seconds=result.seconds)
 
     # ------------------------------------------------------------------ #
