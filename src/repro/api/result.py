@@ -46,7 +46,6 @@ def summarize_large_graph_stats(stats: list[LargeGraphStats]) -> dict[str, objec
         "positive_samples": sum(s.positive_samples for s in stats),
         "submatrix_switches": sum(s.submatrix_switches for s in stats),
         "seconds": round(sum(s.seconds for s in stats), 4),
-        "execution_mode": stats[0].execution_mode,
         "pool_stall_s": round(sum(s.pool_stall_seconds for s in stats), 4),
         "pool_produce_s": round(sum(s.pool_produce_seconds for s in stats), 4),
         "max_ready_pools": max(s.max_ready_pools for s in stats),

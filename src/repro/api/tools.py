@@ -11,11 +11,11 @@ same construction options so the registry can build any of them uniformly:
 * ``device`` — simulated device; ignored by the CPU-only baselines.
 * ``seed`` — RNG seed (``None`` keeps the backend default).
 
-The GOSH tools also take the three layer options of
-:class:`~repro.embedding.config.GoshConfig` — ``kernel_backend``,
-``sampler_backend`` and ``execution_mode`` (``None`` keeps the config's
-value).  The baselines have their own training loops and no partitioned
-engine, so they do not take them: passing one raises ``TypeError``.
+The GOSH tools also take the two layer options of
+:class:`~repro.embedding.config.GoshConfig` — ``kernel_backend`` and
+``sampler_backend`` (``None`` keeps the config's value).  The baselines
+have their own training loops and no partitioned engine, so they do not
+take them: passing one raises ``TypeError``.
 
 Importing this module registers the seven built-in tools with
 :data:`~repro.api.registry.TOOLS`, in the presentation order of the Table 6
@@ -40,7 +40,6 @@ from ..gpu.backends import KERNEL_BACKENDS
 from ..gpu.device import SimulatedDevice
 from ..graph.csr import CSRGraph
 from ..graph.sampler_backends import DEFAULT_SAMPLER_BACKEND, SAMPLER_BACKENDS
-from ..large.pipeline import DEFAULT_EXECUTION_MODE, EXECUTION_MODES
 from .cache import HierarchyCache
 from .protocol import ProgressCallback, ProgressEvent
 from .registry import register_tool
@@ -113,12 +112,10 @@ class GoshTool(BaseEmbeddingTool):
                  device: SimulatedDevice | None = None, seed: int | None = None,
                  kernel_backend: str | None = None,
                  sampler_backend: str | None = None,
-                 execution_mode: str | None = None,
                  hierarchy_cache: HierarchyCache | None = None):
         cfg = get_config(config) if isinstance(config, str) else config
         overrides = {"seed": seed, "kernel_backend": kernel_backend,
-                     "sampler_backend": sampler_backend,
-                     "execution_mode": execution_mode}
+                     "sampler_backend": sampler_backend}
         cfg = cfg.scaled(epoch_scale, dim=dim).with_(
             **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
@@ -168,8 +165,6 @@ class GoshTool(BaseEmbeddingTool):
         backend = f", {KERNEL_BACKENDS.canonical(cfg.kernel_backend)} kernels"
         sampler = SAMPLER_BACKENDS.canonical(cfg.sampler_backend)
         sampler = "" if sampler == DEFAULT_SAMPLER_BACKEND else f", {sampler} sampler"
-        mode = EXECUTION_MODES.canonical(cfg.execution_mode)
-        mode = "" if mode == DEFAULT_EXECUTION_MODE else f", {mode} execution"
         # Serving observability: when a hierarchy cache is attached (directly
         # or by the EmbeddingService), its behaviour shows up in `tools` /
         # query output instead of being invisible state.
@@ -179,7 +174,7 @@ class GoshTool(BaseEmbeddingTool):
             cache = (f"; hierarchy cache: {s['entries']} entries, "
                      f"{s['hits']} hits, {s['misses']} misses")
         return (f"GOSH {cfg.name}: p={cfg.smoothing_ratio}, lr={cfg.learning_rate}, "
-                f"e={cfg.epochs}, {coarse}{backend}{sampler}{mode} (GPU, multilevel)"
+                f"e={cfg.epochs}, {coarse}{backend}{sampler} (GPU, multilevel)"
                 f"{cache}")
 
     def prepare(self, graph: CSRGraph) -> None:

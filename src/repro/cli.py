@@ -150,7 +150,7 @@ def _resolve_tool(args: argparse.Namespace):
     """
     name = _tool_name(args)
     layers = {dest: getattr(args, dest) for dest in
-              ("kernel_backend", "sampler_backend", "execution_mode")
+              ("kernel_backend", "sampler_backend")
               if getattr(args, dest) is not None}
     try:
         return get_tool(name, dim=args.dim, epoch_scale=args.epoch_scale,
@@ -249,7 +249,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
               f"levels={large['levels']}, K={large['parts_per_level']}, "
               f"rotations={large['rotations']}, kernels={large['kernels']}, "
               f"switches={large['submatrix_switches']} "
-              f"({large['seconds']:.3f}s, {large['execution_mode']} execution, "
+              f"({large['seconds']:.3f}s, "
               f"pool stall {large['pool_stall_s']:.3f}s)")
         if large.get("oom_retries"):
             print(f"degraded {large['oom_retries']} time(s) under device OOM: "
@@ -674,12 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "hub weighting); third-party backends registered "
                             "via repro.graph.register_sampler_backend are "
                             "accepted by name")
-        p.add_argument("--execution-mode", default=None, metavar="MODE",
-                       help="large-graph pool production scheduling: pipelined "
-                            "(background producer thread behind a bounded "
-                            "S_GPU queue, default) | sequential "
-                            "(single-threaded oracle); results are "
-                            "bit-identical either way")
 
     def add_store_option(p: argparse.ArgumentParser) -> None:
         p.add_argument("--store-dir", default=DEFAULT_STORE_DIR, metavar="DIR",

@@ -48,11 +48,6 @@ class GoshConfig:
       ``"degree_biased"`` (GraphVite-style deg^0.75 hub weighting); the two
       uniform backends draw identical pairs for a fixed seed (see
       :mod:`repro.graph.sampler_backends`).
-    * ``execution_mode`` — how the large-graph engine schedules pool
-      production against kernel execution: ``"pipelined"`` (background
-      producer thread behind a bounded S_GPU queue, default) or
-      ``"sequential"`` (single-threaded oracle).  Bit-identical results
-      either way (see :mod:`repro.large.pipeline`).
     """
 
     name: str = "normal"
@@ -71,7 +66,6 @@ class GoshConfig:
     negative_power: float = 0.0
     kernel_backend: str = "vectorized"
     sampler_backend: str = "vectorized"
-    execution_mode: str = "pipelined"
     seed: int = 0
     # Large-graph engine knobs (Section 3.3 defaults).
     positive_batch_per_vertex: int = 5   # B
@@ -130,10 +124,8 @@ class GoshConfig:
         # and raise UnknownNameError, a ValueError.
         from ..gpu.backends import get_backend
         from ..graph.sampler_backends import get_sampler_backend
-        from ..large.pipeline import normalize_execution_mode
         get_backend(self.kernel_backend)
         get_sampler_backend(self.sampler_backend)
-        normalize_execution_mode(self.execution_mode)
 
 
 #: Table 3 rows.

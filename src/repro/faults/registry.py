@@ -18,9 +18,9 @@ Injection points
 ``rotation-boundary`` after one rotation of the partitioned engine finished
                       (post rotation checkpoint) —
                       :class:`repro.large.scheduler.LargeGraphTrainer`
-``pool-producer``     before a sample pool is built, on whichever thread
-                      produces it — both executors in
-                      :mod:`repro.large.pipeline`
+``pool-producer``     before a sample pool is built, on the producer
+                      thread; the fault re-raises at the consumer's next
+                      pop — :class:`repro.large.pipeline.PipelinedExecutor`
 ``store-commit``      at the store's atomic commit point, *before* the
                       staging-dir rename — simulates a writer SIGKILLed
                       mid-save, deliberately leaking the ``.tmp-*`` dir —

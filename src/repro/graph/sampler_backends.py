@@ -200,10 +200,11 @@ class FilteredAdjacencyCache:
     ``K`` per cache), ``entries`` the parts cached (each holding ``K``
     sub-CSRs), and ``hits`` the ``get`` calls served without a pass.
 
-    Thread-safe: the pipelined large-graph engine builds pools on a producer
-    thread while on-demand ``acquire`` misses may build on the consumer, so
-    lookup-or-build runs under a lock (entries are immutable once built and a
-    one-time pass per part is cheap enough to serialise).
+    Thread-safe: the large-graph engine builds pools on its producer thread
+    while the consumer may read :meth:`stats` (via
+    ``SamplePoolManager.stats``), so lookup-or-build runs under a lock
+    (entries are immutable once built and a one-time pass per part is cheap
+    enough to serialise).
     """
 
     def __init__(self, graph: "CSRGraph", partition: "VertexPartition"):

@@ -2,17 +2,12 @@
 
 from .gpu_state import GPUState
 from .pipeline import (
-    DEFAULT_EXECUTION_MODE,
-    EXECUTION_MODES,
     PipelinedExecutor,
     PipelineStats,
     PoolPreparer,
     ReadyPool,
     ScheduleEntry,
-    SequentialExecutor,
-    UnknownExecutionModeError,
     build_schedule,
-    create_executor,
     kernel_rng,
 )
 from .rotation import count_switches, inside_out_order, naive_order, validate_rotation_cover
@@ -30,17 +25,12 @@ __all__ = [
     "SamplePoolManager",
     "pool_rng",
     "kernel_rng",
-    "DEFAULT_EXECUTION_MODE",
-    "EXECUTION_MODES",
     "PipelinedExecutor",
-    "SequentialExecutor",
     "PipelineStats",
     "PoolPreparer",
     "ReadyPool",
     "ScheduleEntry",
-    "UnknownExecutionModeError",
     "build_schedule",
-    "create_executor",
     "LargeGraphStats",
     "LargeGraphTrainer",
 ]

@@ -1,33 +1,25 @@
-"""Pipelined pool production for the large-graph engine (Section 3.3).
+"""Pool production for the large-graph engine (Section 3.3).
 
 The paper's engine is three concurrent agents: a SampleManager producing
 sample pools, a PoolManager shipping them to the device, and the training
-loop consuming them.  Earlier revisions *simulated* that concurrency —
-pools were built inline, immediately before the kernel that needed them.
-This module makes it real:
+loop consuming them.  :class:`PipelinedExecutor` is that producer: a
+background thread walks the schedule, builds each pool one source-major
+direction at a time and *prepares* it (destination global→local
+resolution, scatter plans for the destination and negative sides,
+pre-drawn negative rounds — see
+:meth:`~repro.gpu.backends.vectorized.VectorizedBackend.prepare_pair`),
+then hands it over through a bounded ready-pool queue of capacity
+``S_GPU``.  The producer blocks (backpressure) when the consumer falls
+behind, exactly like the paper's ``S_GPU`` buffer bound.
 
-* :class:`PipelinedExecutor` (``execution_mode="pipelined"``, the default)
-  runs pool production on a background thread: pools are built one
-  source-major direction at a time and each direction is *prepared*
-  (destination global→local resolution, scatter plans for the destination
-  and negative sides, pre-drawn negative rounds — see
-  :meth:`~repro.gpu.backends.vectorized.VectorizedBackend.prepare_pair`)
-  ahead of the consumer, then handed over through a bounded ready-pool
-  queue of capacity ``S_GPU`` — the producer blocks (backpressure) when the
-  consumer falls behind, exactly like the paper's ``S_GPU`` buffer bound.
-  Production is pure NumPy index work that releases the GIL, so it overlaps
-  the consumer's kernel arithmetic on a second core.
-* :class:`SequentialExecutor` (``execution_mode="sequential"``) is the
-  single-threaded oracle: it builds and prepares each pool on the consumer
-  thread, right before its kernel, with nothing buffered.
-
-**Determinism.**  Both executors draw every pool from a stream keyed by
+**Determinism.**  Every pool is drawn from a stream keyed by
 ``(seed, rotation, pair)`` (:func:`~repro.large.sample_pool.pool_rng`) and
 every kernel's negatives from a stream keyed the same way
 (:func:`kernel_rng`), so no draw depends on *when* production happened.
 Consumption order is fixed by the schedule and kernels only ever run on the
-consumer thread, which makes pipelined and sequential execution
-**bit-identical** — pinned by ``tests/large/test_pipeline.py``.
+consumer thread, so the embedding is **bit-identical** to producing each
+pool inline right before its kernel — ``tests/large/test_pipeline.py``
+pins that against an inline reference executor.
 
 Every handover is timed: :class:`PipelineStats` sums the consumer's stall
 and the producer's build + prepare time and keeps the peak ready-queue
@@ -48,14 +40,10 @@ import numpy as np
 from ..faults import FAULTS
 from ..graph.partition import VertexPartition
 from ..obs import trace
-from ..registry import Registry, UnknownNameError
 from .sample_pool import PoolDirection, SamplePool, SamplePoolManager
 
 __all__ = [
-    "EXECUTION_MODES",
-    "DEFAULT_EXECUTION_MODE",
     "KERNEL_STREAM",
-    "normalize_execution_mode",
     "kernel_rng",
     "ScheduleEntry",
     "build_schedule",
@@ -63,17 +51,12 @@ __all__ = [
     "ReadyPool",
     "PipelineStats",
     "PoolPreparer",
-    "SequentialExecutor",
     "PipelinedExecutor",
-    "create_executor",
-    "UnknownExecutionModeError",
 ]
 
 #: Stream tag separating kernel-side negative draws from the pool streams
 #: (see :data:`repro.large.sample_pool.POOL_STREAM`).
 KERNEL_STREAM = 2
-
-DEFAULT_EXECUTION_MODE = "pipelined"
 
 
 def kernel_rng(seed: int, rotation: int, part_a: int, part_b: int) -> np.random.Generator:
@@ -148,7 +131,6 @@ class ReadyPool:
 class PipelineStats:
     """Aggregate pipeline behaviour of one training run."""
 
-    mode: str
     stall_seconds: float = 0.0      # total consumer time spent waiting on pools
     produce_seconds: float = 0.0    # total build + prepare time (producer side)
     max_queue_depth: int = 0        # peak ready pools buffered after a handover
@@ -190,51 +172,6 @@ class PoolPreparer:
         return ReadyPool(entry=entry, pool=pool, directions=directions, rng=rng)
 
 
-class SequentialExecutor:
-    """Single-threaded oracle: produce each pool inline, right before use.
-
-    Builds the current schedule entry's pool and prepares it on the consumer
-    thread, buffering nothing (``capacity`` is accepted for the common
-    executor signature and unused).  Every second spent here is recorded as
-    stall — this is precisely the time the pipelined executor hides.
-    """
-
-    mode = "sequential"
-
-    def __init__(self, manager: SamplePoolManager, preparer: PoolPreparer,
-                 schedule: list[ScheduleEntry], capacity: int):
-        self.manager = manager
-        self.preparer = preparer
-        self.schedule = schedule
-        self.stats = PipelineStats(mode=self.mode)
-        self._cursor = 0
-
-    def __enter__(self) -> "SequentialExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        pass
-
-    def next_ready(self) -> ReadyPool:
-        entry = self.schedule[self._cursor]
-        self._cursor += 1
-        t0 = perf_counter()
-        FAULTS.crossing("pool-producer", rotation=entry.rotation, pair=entry.pair)
-        pool = self.manager.build_pool(*entry.pair, rotation=entry.rotation)
-        ready = self.preparer.ready(entry, pool)
-        elapsed = perf_counter() - t0
-        self.stats.produce_seconds += elapsed
-        self.stats.stall_seconds += elapsed
-        if trace.enabled:
-            trace.add_complete("pool-produce", elapsed,
-                               rotation=entry.rotation, pair=list(entry.pair),
-                               mode=self.mode)
-        return ready
-
-
 class PipelinedExecutor:
     """Producer-thread execution: pools are built ahead, behind a bounded queue.
 
@@ -248,8 +185,6 @@ class PipelinedExecutor:
     queue.
     """
 
-    mode = "pipelined"
-
     _POLL_SECONDS = 0.05
 
     def __init__(self, manager: SamplePoolManager, preparer: PoolPreparer,
@@ -257,7 +192,7 @@ class PipelinedExecutor:
         self.manager = manager
         self.preparer = preparer
         self.schedule = schedule
-        self.stats = PipelineStats(mode=self.mode)
+        self.stats = PipelineStats()
         self._queue: "queue.Queue[ReadyPool | _ProducerFailure]" = queue.Queue(
             maxsize=max(1, capacity))
         self._stop = threading.Event()
@@ -289,7 +224,7 @@ class PipelinedExecutor:
                     # production genuinely overlapping the consumer's kernels.
                     trace.add_complete("pool-produce", elapsed,
                                        rotation=entry.rotation,
-                                       pair=list(entry.pair), mode=self.mode)
+                                       pair=list(entry.pair))
                 if not self._put(ready):
                     return
         except BaseException as exc:  # surface on the consumer thread
@@ -367,20 +302,3 @@ class _ProducerFailure:
     """Envelope carrying a producer-thread exception to the consumer."""
 
     error: BaseException
-
-
-#: Execution mode -> executor class, default first.
-EXECUTION_MODES: Registry = Registry(
-    "execution mode",
-    {"pipelined": PipelinedExecutor, "sequential": SequentialExecutor},
-    default=DEFAULT_EXECUTION_MODE)
-
-UnknownExecutionModeError = UnknownNameError
-#: Canonical lower-case mode name (``None`` -> the default), or raise.
-normalize_execution_mode = EXECUTION_MODES.canonical
-
-
-def create_executor(mode: str, manager: SamplePoolManager, preparer: PoolPreparer,
-                    schedule: list[ScheduleEntry], capacity: int):
-    """Build the executor for ``mode`` (``"pipelined"`` or ``"sequential"``)."""
-    return EXECUTION_MODES.factory(mode)(manager, preparer, schedule, capacity)

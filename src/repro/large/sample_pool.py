@@ -5,20 +5,21 @@ samples on the host: for the kernel that processes the part pair
 ``(V^j, V^k)``, a *sample pool* ``S^{j,k}`` holds, for every vertex of
 ``V^j``, up to ``B`` positive neighbours that fall inside ``V^k`` (and
 symmetrically for ``V^k`` vs ``V^j``).  :class:`SamplePoolManager` builds
-one pool per call; the executors of :mod:`repro.large.pipeline` decide when,
-and the pipelined one bounds the pools in flight by ``S_GPU``.
+one pool per call, on the producer thread of
+:class:`~repro.large.pipeline.PipelinedExecutor`, which bounds the pools in
+flight by ``S_GPU``.
 
-Two properties make the manager safe to drive from a real producer thread:
+Two properties make the manager safe to drive from that producer thread:
 
 * **Order-independent randomness.**  Every pool is drawn from its own seeded
   stream keyed by ``(seed, POOL_STREAM, rotation, a, b)``, so the pool for a
-  given (rotation, pair) has identical contents whether a background
-  producer or the consumer thread built it, and in whatever order — the
-  property the pipelined/sequential golden-parity tests pin.
+  given (rotation, pair) has identical contents whichever thread built it,
+  and in whatever order — the property the producer-vs-inline golden-parity
+  tests pin.
 * **Locked shared state.**  The produced/sample counters and the
-  filtered-adjacency cache are lock-protected; the sampling itself (pure
-  NumPy) runs outside the lock, so concurrent builders do not serialise on
-  the hot path.
+  filtered-adjacency cache are lock-protected, because the consumer reads
+  :meth:`SamplePoolManager.stats` while the producer counts; the sampling
+  itself (pure NumPy) runs outside the lock.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def pool_rng(seed: int, rotation: int, part_a: int, part_b: int) -> np.random.Ge
 
     Keying the stream by content rather than draw order is what makes pool
     contents independent of *production* order — the producer thread and
-    the sequential oracle's inline build draw identical pools.
+    an inline build on the consumer draw identical pools.
     """
     return np.random.default_rng((seed, POOL_STREAM, rotation, part_a, part_b))
 

@@ -14,13 +14,11 @@ The number of parts ``K`` is derived from the device-memory budget so that
 is managed by :class:`~repro.large.gpu_state.GPUState` (allocation failures
 on the simulated device are real errors, not warnings).
 
-Pool production runs through a pluggable execution mode (see
-:mod:`repro.large.pipeline`): ``"pipelined"`` (default) produces and
-prepares pools on a background thread behind a bounded ``S_GPU`` queue —
-the paper's SampleManager/PoolManager threads, for real — while
-``"sequential"`` is the single-threaded oracle.  Both are bit-identical
-because every random draw is keyed by (rotation, pair), never by execution
-order.
+Pools are produced and prepared on a background thread behind a bounded
+``S_GPU`` queue (:class:`~repro.large.pipeline.PipelinedExecutor`) — the
+paper's SampleManager/PoolManager threads — while kernels run on the
+calling thread.  Every random draw is keyed by (rotation, pair), never by
+production timing, so the result is the same as building each pool inline.
 """
 
 from __future__ import annotations
@@ -40,13 +38,7 @@ from ..gpu.backends import get_backend
 from ..gpu.device import DeviceMemoryError, SimulatedDevice
 from ..gpu.warp import WarpConfig
 from .gpu_state import GPUState
-from .pipeline import (
-    DEFAULT_EXECUTION_MODE,
-    PoolPreparer,
-    build_schedule,
-    create_executor,
-    normalize_execution_mode,
-)
+from .pipeline import PipelinedExecutor, PoolPreparer, build_schedule
 from .rotation import inside_out_order
 from .sample_pool import SamplePoolManager
 
@@ -75,7 +67,6 @@ class LargeGraphStats:
     positive_samples: int = 0
     submatrix_switches: int = 0
     seconds: float = 0.0
-    execution_mode: str = DEFAULT_EXECUTION_MODE
     pool_stall_seconds: float = 0.0   # kernel time lost waiting on pools
     pool_produce_seconds: float = 0.0  # build + prepare time (producer side)
     max_ready_pools: int = 0           # peak ready-queue depth observed
@@ -156,9 +147,8 @@ class LargeGraphTrainer:
         degradations: list[dict] = []
         attempt = 0
         while True:
-            stats = LargeGraphStats(
-                num_parts=k, rotations=rotations, start_rotation=start_rotation,
-                execution_mode=normalize_execution_mode(cfg.execution_mode))
+            stats = LargeGraphStats(num_parts=k, rotations=rotations,
+                                    start_rotation=start_rotation)
             t0 = perf_counter()
             try:
                 self._run(graph, embedding, partition, schedule, order,
@@ -210,8 +200,7 @@ class LargeGraphTrainer:
                                 cfg.negative_samples, cfg.seed)
         pcie_bytes_per_second = self.device.spec.pcie_gbps * 1e9
         last_index = len(order) - 1
-        executor = create_executor(cfg.execution_mode, pools, preparer,
-                                   schedule, s_gpu)
+        executor = PipelinedExecutor(pools, preparer, schedule, s_gpu)
         rotation_start = perf_counter()
         try:
             with executor:

@@ -2,11 +2,10 @@
 
 Kernel backends (:data:`repro.gpu.backends.KERNEL_BACKENDS`), host sampler
 backends (:data:`repro.graph.sampler_backends.SAMPLER_BACKENDS`), query
-backends (:data:`repro.query.backends.QUERY_BACKENDS`), large-graph
-execution modes (:data:`repro.large.pipeline.EXECUTION_MODES`) and embedding
-tools (:data:`repro.api.registry.TOOLS`) all resolve user-facing names
-through one :class:`Registry`, so every layer accepts the same spellings and
-fails with the same error:
+backends (:data:`repro.query.backends.QUERY_BACKENDS`) and embedding tools
+(:data:`repro.api.registry.TOOLS`) all resolve user-facing names through one
+:class:`Registry`, so every layer accepts the same spellings and fails with
+the same error:
 
 * names are case-insensitive and surrounding whitespace is ignored;
 * ``None`` means the registry's default — and only ``None`` does (``""`` is

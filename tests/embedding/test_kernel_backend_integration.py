@@ -21,8 +21,7 @@ from repro.graph import social_community, stochastic_block_model
 from repro.large import LargeGraphTrainer
 
 #: The GOSH-only layer options; every baseline must refuse each of them.
-LAYER_OPTIONS = {"kernel_backend": "vectorized", "sampler_backend": "vectorized",
-                 "execution_mode": "pipelined"}
+LAYER_OPTIONS = {"kernel_backend": "vectorized", "sampler_backend": "vectorized"}
 BASELINES = ("verse", "mile", "graphvite")
 
 
@@ -181,6 +180,12 @@ class TestApiAndCli:
             with pytest.raises(TypeError, match="kernel_backend"):
                 get_tool(name, dim=8, kernel_backend="vectorised")
 
+    def test_describe_uses_canonical_names(self):
+        text = get_tool("gosh-fast", dim=8, kernel_backend="Reference",
+                        sampler_backend="VECTORIZED").describe()
+        assert "reference kernels" in text
+        assert "sampler" not in text
+
     def test_gosh_tool_embeds_with_vectorized(self, small_power_graph):
         tool = get_tool("gosh-fast", dim=8, epoch_scale=0.02,
                         kernel_backend="vectorized")
@@ -287,78 +292,3 @@ def test_quality_parity_on_sbm():
         dots = np.einsum("ij,ij->i", emb[i], emb[j])
         same = labels[i] == labels[j]
         assert dots[same].mean() > dots[~same].mean(), backend
-
-
-class TestExecutionModeIntegration:
-    """--execution-mode wired through config, scheduler, API and CLI."""
-
-    def test_config_default_and_validation(self):
-        assert NORMAL.execution_mode == "pipelined"
-        with pytest.raises(ValueError):
-            NORMAL.with_(execution_mode="warp-speed").validate()
-
-    def test_embedder_routes_mode_to_large_engine(self):
-        g = social_community(600, intra_degree=6, seed=4)
-        embeddings = {}
-        for mode in ("sequential", "pipelined"):
-            device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
-            cfg = FAST.scaled(0.02, dim=16).with_(execution_mode=mode)
-            result = GoshEmbedder(cfg, device=device).embed(g)
-            assert result.large_graph_stats
-            assert all(s.execution_mode == mode for s in result.large_graph_stats)
-            embeddings[mode] = result.embedding
-        assert np.array_equal(embeddings["sequential"], embeddings["pipelined"])
-
-    def test_get_tool_accepts_execution_mode_for_gosh_tools(self):
-        for name in ("gosh-fast", "gosh-normal", "gosh-slow", "gosh-nocoarse"):
-            tool = get_tool(name, dim=8, epoch_scale=0.02, execution_mode="sequential")
-            assert tool.config.execution_mode == "sequential"
-
-    def test_gosh_tool_propagates_execution_mode(self):
-        tool = get_tool("gosh-fast", dim=8, execution_mode="sequential")
-        assert tool.config.execution_mode == "sequential"
-        assert "sequential execution" in tool.describe()
-
-    def test_default_mode_not_mentioned_in_describe(self):
-        tool = get_tool("gosh-fast", dim=8)
-        assert "execution" not in tool.describe()
-
-    def test_empty_mode_is_unknown_not_the_default(self):
-        """Only None selects the default mode; "" is a typo like any other."""
-        with pytest.raises(ValueError):
-            GoshConfig(execution_mode="").validate()
-        with pytest.raises(ValueError):
-            get_tool("gosh-fast", dim=8, execution_mode="")
-        with pytest.raises(TypeError):
-            get_tool("verse", dim=8, execution_mode="")
-
-    def test_describe_uses_canonical_names(self):
-        text = get_tool("gosh-fast", dim=8, kernel_backend="Reference",
-                        sampler_backend="VECTORIZED").describe()
-        assert "reference kernels" in text
-        assert "sampler" not in text
-
-    def test_baselines_reject_invalid_mode_names_too(self):
-        for name in BASELINES:
-            with pytest.raises(TypeError, match="execution_mode"):
-                get_tool(name, dim=8, execution_mode="pipelined-ish")
-            with pytest.raises(TypeError, match="execution_mode"):
-                get_tool(name, dim=8, execution_mode="sequential")
-
-    def test_cli_execution_mode_flag(self, tmp_path, capsys):
-        out = tmp_path / "emb.npy"
-        code = main(["embed", "com-amazon", "--config", "fast", "--dim", "8",
-                     "--epoch-scale", "0.02", "--execution-mode", "sequential",
-                     "-o", str(out)])
-        assert code == 0
-        assert np.load(out).shape[1] == 8
-        assert "sequential" in capsys.readouterr().out
-
-    def test_cli_unknown_execution_mode_exits(self):
-        with pytest.raises(SystemExit):
-            main(["embed", "com-amazon", "--execution-mode", "warp-speed"])
-
-    def test_cli_parser_default_is_none(self):
-        from repro.cli import build_parser
-        args = build_parser().parse_args(["embed", "com-dblp"])
-        assert args.execution_mode is None

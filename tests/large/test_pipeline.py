@@ -1,11 +1,13 @@
-"""Pipelined-execution suite: golden parity, executor semantics, stats.
+"""Pool-producer suite: golden parity, executor semantics, stats.
 
-The contract of :mod:`repro.large.pipeline` is that execution mode changes
-*scheduling only*: because every pool draw and every kernel negative stream
-is keyed by ``(seed, rotation, pair)``, producing pools on a background
-thread must yield bit-identical embeddings to producing them inline.  These
-tests pin that parity (the tentpole acceptance criterion), the bounded-queue
-backpressure, producer-error propagation, and the stall/queue statistics.
+The contract of :mod:`repro.large.pipeline` is that the producer thread
+changes *scheduling only*: because every pool draw and every kernel
+negative stream is keyed by ``(seed, rotation, pair)``, producing pools on
+a background thread must yield bit-identical embeddings to producing them
+inline.  :class:`InlineExecutor` below is that inline reference; the parity
+tests swap it in for the engine's :class:`PipelinedExecutor`.  The suite
+also pins the bounded-queue backpressure, producer-error propagation, and
+the stall/queue statistics.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from repro.obs import trace
 from repro.large import (
     LargeGraphTrainer,
     PipelinedExecutor,
+    PipelineStats,
     PoolPreparer,
     SamplePoolManager,
-    SequentialExecutor,
-    UnknownExecutionModeError,
     build_schedule,
-    create_executor,
     inside_out_order,
     kernel_rng,
 )
+from repro.large import scheduler
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -41,11 +42,42 @@ def tiny_device(kilobytes: int) -> SimulatedDevice:
     return SimulatedDevice(spec=DeviceSpec(name=f"{kilobytes}kB", memory_bytes=kilobytes * 1024))
 
 
-def _train(graph, mode, *, seed=0, epochs=20, dim=16, **cfg_kwargs):
+class InlineExecutor:
+    """Reference executor: build and prepare each pool on the consumer
+    thread, right before its kernel, with nothing buffered.
+
+    Same constructor, ``stats`` and ``next_ready`` contract as
+    :class:`PipelinedExecutor` (``capacity`` is unused; the stats stay
+    zero), so the parity tests can substitute it for the producer thread.
+    """
+
+    def __init__(self, manager, preparer, schedule, capacity):
+        self.manager = manager
+        self.preparer = preparer
+        self.stats = PipelineStats()
+        self._entries = iter(schedule)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def next_ready(self):
+        entry = next(self._entries)
+        pool = self.manager.build_pool(*entry.pair, rotation=entry.rotation)
+        return self.preparer.ready(entry, pool)
+
+
+def _train(graph, *, inline=False, seed=0, epochs=20, dim=16, **cfg_kwargs):
+    """Train on a 16 kB device; ``inline`` swaps in :class:`InlineExecutor`."""
     device = tiny_device(16)
     emb = init_embedding(graph.num_vertices, dim, 0)
-    config = GoshConfig(seed=seed, execution_mode=mode, **cfg_kwargs)
-    stats = LargeGraphTrainer(device, config).train(graph, emb, epochs=epochs)
+    config = GoshConfig(seed=seed, **cfg_kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        if inline:
+            mp.setattr(scheduler, "PipelinedExecutor", InlineExecutor)
+        stats = LargeGraphTrainer(device, config).train(graph, emb, epochs=epochs)
     return emb, stats
 
 
@@ -66,26 +98,26 @@ def graph():
 
 
 class TestGoldenParity:
-    """pipelined must be bit-identical to the sequential oracle."""
+    """The producer thread must be bit-identical to inline production."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_embeddings_bit_identical(self, graph, seed):
-        emb_seq, _ = _train(graph, "sequential", seed=seed)
-        emb_pip, _ = _train(graph, "pipelined", seed=seed)
-        assert np.array_equal(emb_seq, emb_pip)
+        emb_inline, _ = _train(graph, inline=True, seed=seed)
+        emb_pip, _ = _train(graph, seed=seed)
+        assert np.array_equal(emb_inline, emb_pip)
 
     @pytest.mark.parametrize("kernel_backend", ["reference", "vectorized"])
     def test_parity_across_kernel_backends(self, graph, kernel_backend):
-        emb_seq, _ = _train(graph, "sequential", kernel_backend=kernel_backend)
-        emb_pip, _ = _train(graph, "pipelined", kernel_backend=kernel_backend)
-        assert np.array_equal(emb_seq, emb_pip)
+        emb_inline, _ = _train(graph, inline=True, kernel_backend=kernel_backend)
+        emb_pip, _ = _train(graph, kernel_backend=kernel_backend)
+        assert np.array_equal(emb_inline, emb_pip)
 
     @pytest.mark.parametrize("sampler_backend",
                              ["reference", "vectorized", "degree_biased"])
     def test_parity_across_sampler_backends(self, graph, sampler_backend):
-        emb_seq, _ = _train(graph, "sequential", sampler_backend=sampler_backend)
-        emb_pip, _ = _train(graph, "pipelined", sampler_backend=sampler_backend)
-        assert np.array_equal(emb_seq, emb_pip)
+        emb_inline, _ = _train(graph, inline=True, sampler_backend=sampler_backend)
+        emb_pip, _ = _train(graph, sampler_backend=sampler_backend)
+        assert np.array_equal(emb_inline, emb_pip)
 
     def test_identical_pool_contents_across_executors(self, graph):
         """Both executors must hand the kernels the *same* ready pools."""
@@ -94,21 +126,21 @@ class TestGoldenParity:
         backend = get_backend("vectorized")
         g2l = partition.global_to_local()
         readies = {}
-        for mode in ("sequential", "pipelined"):
+        for executor in (InlineExecutor, PipelinedExecutor):
             manager = SamplePoolManager(graph=graph, partition=partition,
                                         batch_per_vertex=3, seed=5)
             preparer = PoolPreparer(partition, backend, g2l, 2, 5)
-            with create_executor(mode, manager, preparer, schedule, 4) as ex:
-                readies[mode] = [ex.next_ready() for _ in schedule]
-        for r_seq, r_pip in zip(readies["sequential"], readies["pipelined"]):
-            assert r_seq.entry == r_pip.entry
-            assert np.array_equal(r_seq.pool.src, r_pip.pool.src)
-            assert np.array_equal(r_seq.pool.dst, r_pip.pool.dst)
-            assert len(r_seq.directions) == len(r_pip.directions)
-            for d_seq, d_pip in zip(r_seq.directions, r_pip.directions):
-                assert (d_seq.from_part, d_seq.to_part) == (d_pip.from_part, d_pip.to_part)
-                assert np.array_equal(d_seq.src, d_pip.src)
-                assert np.array_equal(d_pip.plan.neg_targets, d_seq.plan.neg_targets)
+            with executor(manager, preparer, schedule, 4) as ex:
+                readies[executor] = [ex.next_ready() for _ in schedule]
+        for r_inline, r_pip in zip(readies[InlineExecutor], readies[PipelinedExecutor]):
+            assert r_inline.entry == r_pip.entry
+            assert np.array_equal(r_inline.pool.src, r_pip.pool.src)
+            assert np.array_equal(r_inline.pool.dst, r_pip.pool.dst)
+            assert len(r_inline.directions) == len(r_pip.directions)
+            for d_inline, d_pip in zip(r_inline.directions, r_pip.directions):
+                assert (d_inline.from_part, d_inline.to_part) == (d_pip.from_part, d_pip.to_part)
+                assert np.array_equal(d_inline.src, d_pip.src)
+                assert np.array_equal(d_pip.plan.neg_targets, d_inline.plan.neg_targets)
 
     def test_pool_contents_independent_of_build_order(self, graph):
         """The keyed streams, directly: build order must not matter."""
@@ -187,21 +219,6 @@ def _executor_inputs(graph, num_parts=4, rotations=2, seed=0):
 
 
 class TestExecutors:
-    def test_unknown_mode_raises(self, graph):
-        manager, preparer, schedule = _executor_inputs(graph)
-        with pytest.raises(UnknownExecutionModeError) as exc:
-            create_executor("warp-speed", manager, preparer, schedule, 3)
-        assert "pipelined" in str(exc.value)
-
-    def test_create_executor_dispatch(self, graph):
-        manager, preparer, schedule = _executor_inputs(graph)
-        ex = create_executor("sequential", manager, preparer, schedule, 3)
-        assert isinstance(ex, SequentialExecutor)
-        ex.close()
-        ex = create_executor("PIPELINED", manager, preparer, schedule, 3)
-        assert isinstance(ex, PipelinedExecutor)
-        ex.close()
-
     def test_backpressure_bounds_ready_pools(self, graph):
         """An unconsumed producer must stop at the S_GPU queue bound."""
         capacity = 2
@@ -250,25 +267,21 @@ class TestExecutors:
 
     def test_stats_shapes(self, graph):
         manager, preparer, schedule = _executor_inputs(graph)
-        for mode in ("sequential", "pipelined"):
-            m, p, s = _executor_inputs(graph)
-            with create_executor(mode, m, p, s, 3) as ex:
-                for _ in s:
-                    ex.next_ready()
-            stats = ex.stats
-            assert stats.mode == mode
-            assert m.stats()["pools_produced"] == len(s)
-            assert stats.stall_seconds >= 0.0
-            assert stats.produce_seconds > 0.0
-            assert stats.max_queue_depth <= 3
+        with PipelinedExecutor(manager, preparer, schedule, 3) as ex:
+            for _ in schedule:
+                ex.next_ready()
+        stats = ex.stats
+        assert manager.stats()["pools_produced"] == len(schedule)
+        assert stats.stall_seconds >= 0.0
+        assert stats.produce_seconds > 0.0
+        assert stats.max_queue_depth <= 3
 
 
 class TestBuildCounts:
-    """The work each executor does, by count: one build and one preparation
-    per schedule entry, in schedule order, on the thread the mode names."""
+    """The producer's work, by count: one build and one preparation per
+    schedule entry, in schedule order, all on the producer thread."""
 
-    @pytest.mark.parametrize("mode", ["pipelined", "sequential"])
-    def test_one_build_per_entry_on_the_right_thread(self, graph, mode):
+    def test_one_build_per_entry_on_the_right_thread(self, graph):
         manager, preparer, schedule = _executor_inputs(graph)
         calls: dict[str, list] = {"build": [], "ready": []}
         build, ready = manager.build_pool, preparer.ready
@@ -282,20 +295,17 @@ class TestBuildCounts:
             return ready(entry, pool)
 
         manager.build_pool, preparer.ready = counted_build, counted_ready
-        with create_executor(mode, manager, preparer, schedule, 3) as ex:
+        with PipelinedExecutor(manager, preparer, schedule, 3) as ex:
             for entry in schedule:
                 assert ex.next_ready().entry == entry
         assert [key for key, _ in calls["build"]] == [(e.rotation, e.pair) for e in schedule]
         assert [entry for entry, _ in calls["ready"]] == schedule
-        expected = ("gosh-pool-producer" if mode == "pipelined"
-                    else threading.current_thread().name)
-        assert {name for _, name in calls["build"] + calls["ready"]} == {expected}
+        assert {name for _, name in calls["build"] + calls["ready"]} == {"gosh-pool-producer"}
 
 
 class TestSchedulerIntegration:
     def test_stats_carry_pipeline_record(self, graph):
-        _, stats = _train(graph, "pipelined")
-        assert stats.execution_mode == "pipelined"
+        _, stats = _train(graph)
         # the ready queue never holds more than S_GPU pools
         assert stats.max_ready_pools <= GoshConfig().resident_sample_pools
         assert stats.pool_stall_seconds >= 0.0
@@ -305,7 +315,7 @@ class TestSchedulerIntegration:
     def test_timeline_records_pool_copies(self, graph):
         """The trace is the run's one timeline: a priced pool shipment and
         a kernel span per launch."""
-        (_, stats), events = traced_events(lambda: _train(graph, "pipelined"))
+        (_, stats), events = traced_events(lambda: _train(graph))
         copies = [e for e in events if e["name"] == "h2d"]
         kernels = [e for e in events if e["name"] == "kernel"]
         assert len(copies) == stats.kernels          # one pool shipment per pair
@@ -316,24 +326,12 @@ class TestSchedulerIntegration:
         assert any(s > 0 for s in priced)
         assert sum(e["args"]["nbytes"] for e in copies) > 0
 
-    def test_sequential_counts_production_as_stall(self, graph):
-        _, stats = _train(graph, "sequential")
-        assert stats.execution_mode == "sequential"
-        # inline production *is* the stall the pipeline removes
-        assert stats.pool_stall_seconds == pytest.approx(stats.pool_produce_seconds)
-
-    def test_invalid_mode_rejected_by_gosh_config(self):
-        from repro.embedding.config import NORMAL
-        with pytest.raises(ValueError):
-            NORMAL.with_(execution_mode="warp-speed").validate()
-        NORMAL.with_(execution_mode="sequential").validate()
-
 
 class TestThreadHygiene:
     def test_no_leaked_producer_threads(self, graph):
         before = threading.active_count()
         for _ in range(3):
-            _train(graph, "pipelined", epochs=10)
+            _train(graph, epochs=10)
         deadline = time.monotonic() + 5.0
         while threading.active_count() > before and time.monotonic() < deadline:
             time.sleep(0.01)

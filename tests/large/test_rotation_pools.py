@@ -10,9 +10,9 @@ from repro.gpu import DeviceMemoryError, DeviceSpec, SimulatedDevice
 from repro.gpu.backends import get_backend
 from repro.large import (
     GPUState,
+    PipelinedExecutor,
     PoolPreparer,
     SamplePoolManager,
-    SequentialExecutor,
     build_schedule,
     count_switches,
     inside_out_order,
@@ -112,7 +112,7 @@ class TestSamplePoolCounters:
         preparer = PoolPreparer(partition, get_backend("reference"),
                                 partition.global_to_local(), 2, 0)
         schedule = build_schedule(2, inside_out_order(4))
-        with SequentialExecutor(manager, preparer, schedule, 2) as executor:
+        with PipelinedExecutor(manager, preparer, schedule, 2) as executor:
             consumed = [executor.next_ready().pool for _ in schedule]
         assert manager.pools_produced == len(consumed) == len(schedule)
         assert manager.samples_produced == sum(p.num_samples for p in consumed) > 0

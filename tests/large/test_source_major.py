@@ -37,8 +37,8 @@ from repro.graph.sampler_backends import pick_indices
 from repro.large import (
     PoolPreparer,
     SamplePoolManager,
+    PipelinedExecutor,
     build_schedule,
-    create_executor,
     inside_out_order,
     kernel_rng,
 )
@@ -217,8 +217,7 @@ class TestWorkCounts:
         monkeypatch.setattr(sampler_backends, "_gather_rows", gather)
         return calls
 
-    @pytest.mark.parametrize("mode", ["sequential", "pipelined"])
-    def test_no_source_plan_and_one_pass_per_part(self, counted, mode):
+    def test_no_source_plan_and_one_pass_per_part(self, counted):
         graph = social_community(400, intra_degree=8, seed=1)
         k, ns, rotations = 5, 3, 2
         partition = contiguous_partition(graph.num_vertices, k)
@@ -227,7 +226,7 @@ class TestWorkCounts:
                                     batch_per_vertex=4, seed=2)
         preparer = PoolPreparer(partition, get_backend("vectorized"),
                                 partition.global_to_local(), ns, 2)
-        with create_executor(mode, manager, preparer, schedule, 3) as executor:
+        with PipelinedExecutor(manager, preparer, schedule, 3) as executor:
             readies = [executor.next_ready() for _ in schedule]
         launches = sum(len(r.directions) for r in readies)
         assert launches == rotations * k * k   # K diagonal + 2 per off-diagonal pair

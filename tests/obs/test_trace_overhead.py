@@ -1,7 +1,7 @@
 """Tracing changes nothing it observes, and costs nothing measurable when off.
 
 A small partitioned training run (4 parts, degree-biased pools, 3
-rotations), in both execution modes:
+rotations, pools built on the producer thread):
 
 * the embedding is bit-identical with tracing off and on;
 * with tracing off, every site the run crosses is guarded: a proxy put in
@@ -51,14 +51,14 @@ def graph():
     return powerlaw_cluster(400, m=4, seed=0)
 
 
-def _train(graph, mode: str) -> tuple[float, np.ndarray]:
+def _train(graph) -> tuple[float, np.ndarray]:
     emb = init_embedding(graph.num_vertices, DIM, 0)
     matrix_bytes = graph.num_vertices * DIM * 4
     device = SimulatedDevice(spec=DeviceSpec(
         name="tiny", memory_bytes=max(int(matrix_bytes * 0.9),
                                       3 * (matrix_bytes // NUM_PARTS) + 4096)))
     cfg = GoshConfig(positive_batch_per_vertex=B, negative_samples=NS,
-                     sampler_backend="degree_biased", execution_mode=mode)
+                     sampler_backend="degree_biased")
     t0 = perf_counter()
     LargeGraphTrainer(device, cfg, min_parts=NUM_PARTS).train(
         graph, emb, epochs=B * NUM_PARTS * ROTATIONS)
@@ -94,20 +94,18 @@ def _span_site_ns(iterations: int = 100_000) -> float:
     return (perf_counter() - t0) / iterations * 1e9
 
 
-@pytest.mark.parametrize("mode", ["sequential", "pipelined"])
-def test_tracing_is_inert_and_every_off_site_guarded(
-        graph, mode, tmp_path, monkeypatch):
-    baseline_s, base_emb = _train(graph, mode)
+def test_tracing_is_inert_and_every_off_site_guarded(graph, tmp_path, monkeypatch):
+    baseline_s, base_emb = _train(graph)
 
     counter = GuardCounter()
     with monkeypatch.context() as patch:
         for name, module in list(sys.modules.items()):
             if name.startswith("repro") and getattr(module, "trace", None) is trace:
                 patch.setattr(module, "trace", counter)
-        _, counted_emb = _train(graph, mode)
+        _, counted_emb = _train(graph)
 
     trace.enable()
-    _, traced_emb = _train(graph, mode)
+    _, traced_emb = _train(graph)
     trace.disable()
     out = tmp_path / "run.trace.json"
     events = trace.export(out)                    # metadata rows not counted

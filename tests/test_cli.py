@@ -275,7 +275,6 @@ class TestServeAndLoadCli:
             (("--device-memory-mb",), "device_memory_mb", None),
             (("--kernel-backend",), "kernel_backend", None),
             (("--sampler-backend",), "sampler_backend", None),
-            (("--execution-mode",), "execution_mode", None),
             (("--vertex",), "vertex", None),
             (("--query-file",), "query_file", None),
             (("--top-k",), "top_k", 10),

@@ -1,8 +1,8 @@
 """One contract for every name -> implementation registry (:mod:`repro.registry`).
 
-Kernel backends, sampler backends, query backends, execution modes and
-tools all resolve names through :class:`repro.registry.Registry`; each gets
-the same checks here, so the layers cannot drift apart again.
+Kernel backends, sampler backends, query backends and tools all resolve
+names through :class:`repro.registry.Registry`; each gets the same checks
+here, so the layers cannot drift apart again.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from repro.gpu import UnknownBackendError
 from repro.gpu.backends import KERNEL_BACKENDS
 from repro.graph import UnknownSamplerBackendError
 from repro.graph.sampler_backends import SAMPLER_BACKENDS
-from repro.large import UnknownExecutionModeError
-from repro.large.pipeline import EXECUTION_MODES
 from repro.query import UnknownQueryBackendError
 from repro.query.backends import QUERY_BACKENDS
 from repro.registry import UnknownNameError
@@ -26,7 +24,6 @@ CASES = {
     "kernel": (KERNEL_BACKENDS, "reference", "vectorized"),
     "sampler": (SAMPLER_BACKENDS, "degree_biased", "vectorized"),
     "query": (QUERY_BACKENDS, "exact", "blocked"),
-    "execution": (EXECUTION_MODES, "sequential", "pipelined"),
     "tool": (TOOLS, "gosh-fast", None),
 }
 
@@ -46,7 +43,7 @@ def case(request):
 
 def test_every_unknown_error_is_one_class():
     assert {UnknownBackendError, UnknownSamplerBackendError, UnknownQueryBackendError,
-            UnknownExecutionModeError, UnknownToolError} == {UnknownNameError}
+            UnknownToolError} == {UnknownNameError}
     assert issubclass(UnknownNameError, KeyError)
     assert issubclass(UnknownNameError, ValueError)
 
