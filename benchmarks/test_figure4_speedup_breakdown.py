@@ -39,12 +39,6 @@ from conftest import BENCH_DIM
 GRAPH = "com-amazon"
 EPOCHS = 20   # shared budget for every version; the CPU loop bounds this
 
-#: Figure 4 reconstructs the paper's *intermediate versions*, whose economics
-#: (kernel cost dominating coarsening cost) only hold for the loop-based
-#: kernels — under the repo's vectorized default the 10-30ms host times would
-#: make the version ordering a coin flip.  Pin the oracle backend.
-KERNEL_BACKEND = "reference"
-
 
 def _device_seconds(device: SimulatedDevice) -> float:
     return device.simulated_compute_seconds + device.simulated_transfer_seconds
@@ -77,7 +71,7 @@ def breakdown():
     device = SimulatedDevice()
     emb = init_embedding(graph.num_vertices, BENCH_DIM, 0)
     t0 = perf_counter()
-    LevelTrainer(kernel="naive", backend=KERNEL_BACKEND, learning_rate=0.05,
+    LevelTrainer(kernel="naive", learning_rate=0.05,
                  seed=0, device=device).train(graph, emb, EPOCHS)
     add("naive", "Naive GPU (no coarsening)", perf_counter() - t0, _device_seconds(device))
 
@@ -85,22 +79,20 @@ def breakdown():
     device = SimulatedDevice()
     emb = init_embedding(graph.num_vertices, BENCH_DIM, 0)
     t0 = perf_counter()
-    LevelTrainer(kernel="optimized", backend=KERNEL_BACKEND, learning_rate=0.05,
+    LevelTrainer(kernel="optimized", learning_rate=0.05,
                  seed=0, device=device).train(graph, emb, EPOCHS)
     add("optimized", "Optimized GPU (no coarsening)", perf_counter() - t0, _device_seconds(device))
 
     # Optimized kernel + sequential coarsening (multilevel).
     device = SimulatedDevice()
-    cfg_seq = FAST.scaled(1.0, dim=BENCH_DIM).with_(epochs=EPOCHS, use_parallel_coarsening=False,
-                                                    kernel_backend=KERNEL_BACKEND)
+    cfg_seq = FAST.scaled(1.0, dim=BENCH_DIM).with_(epochs=EPOCHS, use_parallel_coarsening=False)
     t0 = perf_counter()
     GoshEmbedder(cfg_seq, device=device).embed(graph)
     add("seq", "Optimized GPU + sequential coarsening", perf_counter() - t0, _device_seconds(device))
 
     # Final GOSH: optimized kernel + parallel coarsening.
     device = SimulatedDevice()
-    cfg_par = FAST.scaled(1.0, dim=BENCH_DIM).with_(epochs=EPOCHS, use_parallel_coarsening=True,
-                                                    kernel_backend=KERNEL_BACKEND)
+    cfg_par = FAST.scaled(1.0, dim=BENCH_DIM).with_(epochs=EPOCHS, use_parallel_coarsening=True)
     t0 = perf_counter()
     GoshEmbedder(cfg_par, device=device).embed(graph)
     add("par", "Optimized GPU + parallel coarsening (GOSH)", perf_counter() - t0, _device_seconds(device))
@@ -124,12 +116,12 @@ def test_figure4_speedup_breakdown(breakdown):
 def test_figure4_optimized_kernel_benchmark(benchmark):
     graph = load_dataset(GRAPH, seed=0)
     emb = init_embedding(graph.num_vertices, BENCH_DIM, 0)
-    trainer = LevelTrainer(kernel="optimized", backend=KERNEL_BACKEND, seed=0)
+    trainer = LevelTrainer(kernel="optimized", seed=0)
     benchmark.pedantic(lambda: trainer.train(graph, emb, 5), rounds=3, iterations=1)
 
 
 def test_figure4_naive_kernel_benchmark(benchmark):
     graph = load_dataset(GRAPH, seed=0)
     emb = init_embedding(graph.num_vertices, BENCH_DIM, 0)
-    trainer = LevelTrainer(kernel="naive", backend=KERNEL_BACKEND, seed=0)
+    trainer = LevelTrainer(kernel="naive", seed=0)
     benchmark.pedantic(lambda: trainer.train(graph, emb, 5), rounds=3, iterations=1)

@@ -39,8 +39,8 @@ def get_tool(name: str, **options) -> EmbeddingTool:
 
     Keyword ``options`` are forwarded to the factory; the built-in tools all
     accept ``dim``, ``epoch_scale``, ``device`` and ``seed``.  Only the GOSH
-    tools accept ``kernel_backend`` and ``sampler_backend``; a baseline given
-    one raises ``TypeError``.
+    tools accept ``sampler_backend``; a baseline given it raises
+    ``TypeError``.
     """
     return TOOLS.factory(name)(**options)
 

@@ -145,13 +145,13 @@ def _tool_name(args: argparse.Namespace) -> str:
 def _resolve_tool(args: argparse.Namespace):
     """Build the requested tool (:func:`_tool_name`) from the registry.
 
-    The GOSH layer flags are passed only when set: the baselines do not
-    take them, so a set one on a baseline is a usage error naming the flag.
+    The GOSH layer flag ``--sampler-backend`` is passed only when set: the
+    baselines do not take it, so setting it on a baseline is a usage error
+    naming the flag.
     """
     name = _tool_name(args)
-    layers = {dest: getattr(args, dest) for dest in
-              ("kernel_backend", "sampler_backend")
-              if getattr(args, dest) is not None}
+    layers = ({} if args.sampler_backend is None
+              else {"sampler_backend": args.sampler_backend})
     try:
         return get_tool(name, dim=args.dim, epoch_scale=args.epoch_scale,
                         device=_make_device(args.device_memory_mb),
@@ -159,10 +159,9 @@ def _resolve_tool(args: argparse.Namespace):
     except TypeError as exc:
         if not layers:
             raise
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in layers)
-        raise SystemExit(f"{flags}: GOSH tools only, not {name!r}") from exc
+        raise SystemExit(f"--sampler-backend: GOSH tools only, not {name!r}") from exc
     except ValueError as exc:
-        # an unregistered --tool or --kernel-backend name, among others
+        # an unregistered --tool or --sampler-backend name, among others
         raise SystemExit(str(exc)) from exc
 
 
@@ -342,7 +341,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, seed=args.seed)
     tool = _resolve_tool(args)
     service = _service(args)
-    # The tool is resolved here (to honour --kernel-backend etc.), so wire it
+    # The tool is resolved here (to honour --sampler-backend etc.), so wire it
     # into the service's hierarchy cache ourselves — otherwise the cache
     # counters printed below could never move on the embed-if-missing path.
     if hasattr(tool, "hierarchy_cache") and tool.hierarchy_cache is None:
@@ -660,12 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(shorthand for --tool gosh-<config>)")
         p.add_argument("--device-memory-mb", type=float, default=None,
                        help="simulated device memory (default: Titan X, 12 GB)")
-        p.add_argument("--kernel-backend", default=None, metavar="NAME",
-                       help="kernel backend for the GOSH update kernels: "
-                            "vectorized (whole-epoch batched ops, default) | "
-                            "reference (loop-based oracle); third-party backends "
-                            "registered via repro.gpu.register_backend are "
-                            "accepted by name")
         p.add_argument("--sampler-backend", default=None, metavar="NAME",
                        help="host-side sampler producing the large-graph "
                             "engine's positive pools: vectorized (whole-part "

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..graph.sampler_backends import get_sampler_backend
+
 __all__ = ["GoshConfig", "FAST", "NORMAL", "SLOW", "NO_COARSE", "get_config", "CONFIGURATIONS"]
 
 
@@ -36,12 +38,6 @@ class GoshConfig:
     * ``coarsening_threshold`` — stop coarsening below this many vertices.
     * ``use_coarsening`` — False reproduces the Gosh-NoCoarse rows.
     * ``small_dim_mode`` — the Section 3.1.1 warp-packing switch.
-    * ``negative_power`` — exponent of the degree-based noise distribution
-      (0 = uniform, the paper's choice).
-    * ``kernel_backend`` — which kernel layer executes the updates:
-      ``"vectorized"`` (whole-epoch batched ops, default) or ``"reference"``
-      (loop-based oracle); used by both the in-memory and the partitioned
-      large-graph trainers.
     * ``sampler_backend`` — which host-side sampler produces the large-graph
       engine's positive sample pools: ``"vectorized"`` (whole-part batched,
       default), ``"reference"`` (per-vertex loop oracle), or
@@ -63,8 +59,6 @@ class GoshConfig:
     use_coarsening: bool = True
     use_parallel_coarsening: bool = True
     small_dim_mode: bool = True
-    negative_power: float = 0.0
-    kernel_backend: str = "vectorized"
     sampler_backend: str = "vectorized"
     seed: int = 0
     # Large-graph engine knobs (Section 3.3 defaults).
@@ -119,12 +113,8 @@ class GoshConfig:
             raise ValueError("resident_submatrices (P_GPU) must be >= 2")
         if self.resident_sample_pools < 1:
             raise ValueError("resident_sample_pools (S_GPU) must be >= 1")
-        # Imported here to keep the config module free of gpu imports at
-        # module load; the registries are the source of truth for valid names
-        # and raise UnknownNameError, a ValueError.
-        from ..gpu.backends import get_backend
-        from ..graph.sampler_backends import get_sampler_backend
-        get_backend(self.kernel_backend)
+        # The registry is the source of truth for valid names and raises
+        # UnknownNameError, a ValueError.
         get_sampler_backend(self.sampler_backend)
 
 

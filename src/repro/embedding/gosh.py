@@ -147,7 +147,6 @@ class GoshEmbedder:
             learning_rate=cfg.learning_rate,
             lr_decay_floor=cfg.learning_rate_decay_floor,
             kernel="optimized",
-            backend=cfg.kernel_backend,
             small_dim_mode=cfg.small_dim_mode,
             seed=cfg.seed,
             device=self.device,

@@ -10,11 +10,11 @@ protocol:
   faster on 50k-edge graphs, numerically close to the reference (tolerances
   pinned by the kernel-parity suite).  Default.
 
-Selection is wired through :class:`~repro.embedding.config.GoshConfig`
-(``kernel_backend``, read by both GOSH trainers),
-:class:`~repro.embedding.trainer.LevelTrainer` (``backend``), the GOSH
-tools, and the CLI's ``--kernel-backend`` flag.  Third-party backends plug in with
-:func:`register_backend`.
+Both GOSH trainers always run the vectorized backend (the partitioned engine
+also needs its ``prepare_pair``); MILE trains on the reference one.  The one
+place a backend is selected is :class:`~repro.embedding.trainer.LevelTrainer`
+(``backend``, a registered name or an instance).  Third-party backends plug in
+with :func:`register_backend`.
 """
 
 from __future__ import annotations

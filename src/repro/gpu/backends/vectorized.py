@@ -392,13 +392,14 @@ class VectorizedBackend:
     def train_pair(self, part_a: np.ndarray, part_b: np.ndarray,
                    sub_a: np.ndarray, sub_b: np.ndarray,
                    pos_src: np.ndarray | None, pos_dst: np.ndarray | None,
-                   ns: int, lr: float, rng: np.random.Generator, *,
+                   ns: int, lr: float, rng: np.random.Generator | None, *,
                    device: SimulatedDevice | None = None,
                    warp_config: WarpConfig | None = None,
                    index_a: np.ndarray | None = None,
                    index_b: np.ndarray | None = None,
                    plan: PairPlan | None = None) -> None:
-        """One pair launch; with ``plan`` the positional pairs are ignored.
+        """One pair launch; with ``plan`` the positional pairs, ``rng`` and
+        the index arrays are ignored.
 
         Without a plan, ``(pos_src, pos_dst)`` may be arbitrary global pairs:
         both sides are resolved and planned, and the negatives drawn, inline.

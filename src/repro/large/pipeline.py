@@ -38,6 +38,7 @@ from time import perf_counter
 import numpy as np
 
 from ..faults import FAULTS
+from ..gpu.backends.vectorized import PairPlan, VectorizedBackend
 from ..graph.partition import VertexPartition
 from ..obs import trace
 from .sample_pool import PoolDirection, SamplePool, SamplePoolManager
@@ -90,15 +91,12 @@ class DirectionBatch:
     """One direction of a pool, ready for a single ``train_pair`` launch.
 
     ``samples`` is the pool's source-major :class:`~repro.large.sample_pool.PoolDirection`,
-    handed over as the sampler built it.  ``plan`` is the backend's prepared
-    :class:`~repro.gpu.backends.vectorized.PairPlan` when the kernel backend
-    supports preparation, else ``None`` (the kernel then takes the expanded
-    global pairs ``src``/``dst``, resolves them and draws negatives inline
-    from the ready pool's keyed generator).
+    handed over as the sampler built it; ``plan`` is its prepared launch,
+    with the negatives already drawn from the pool's keyed kernel stream.
     """
 
     samples: PoolDirection
-    plan: object | None = None
+    plan: PairPlan
 
     @property
     def from_part(self) -> int:
@@ -108,14 +106,6 @@ class DirectionBatch:
     def to_part(self) -> int:
         return self.samples.to_part
 
-    @property
-    def src(self) -> np.ndarray:
-        return self.samples.src
-
-    @property
-    def dst(self) -> np.ndarray:
-        return self.samples.dst
-
 
 @dataclass
 class ReadyPool:
@@ -124,7 +114,6 @@ class ReadyPool:
     entry: ScheduleEntry
     pool: SamplePool
     directions: list[DirectionBatch]
-    rng: np.random.Generator     # keyed kernel stream (unconsumed iff no plans)
 
 
 @dataclass
@@ -141,18 +130,17 @@ class PoolPreparer:
 
     Owns everything production needs beyond the pool itself: the partition,
     the partition-wide global→local lookup, the negative count, and the
-    kernel backend's optional ``prepare_pair`` hook.  Reads no embedding or
-    device state, so it is safe on the producer thread.
+    kernel backend whose ``prepare_pair`` builds each launch's plan.  Reads
+    no embedding or device state, so it is safe on the producer thread.
     """
 
-    def __init__(self, partition: VertexPartition, backend,
+    def __init__(self, partition: VertexPartition, backend: VectorizedBackend,
                  global_to_local: np.ndarray, negative_samples: int, seed: int):
         self.partition = partition
         self.backend = backend
         self.g2l = global_to_local
         self.ns = negative_samples
         self.seed = seed
-        self._prepare = getattr(backend, "prepare_pair", None)
 
     def ready(self, entry: ScheduleEntry, pool: SamplePool) -> ReadyPool:
         a, b = entry.pair
@@ -161,15 +149,13 @@ class PoolPreparer:
         for samples in pool.directions:
             if samples.num_samples == 0:
                 continue   # no launch for this direction -> no negative draws
-            plan = None
-            if self._prepare is not None:
-                plan = self._prepare(
-                    self.partition.parts[samples.from_part],
-                    self.partition.parts[samples.to_part],
-                    samples.rows, samples.B, samples.dst, self.ns, rng,
-                    index_b=self.g2l)
+            plan = self.backend.prepare_pair(
+                self.partition.parts[samples.from_part],
+                self.partition.parts[samples.to_part],
+                samples.rows, samples.B, samples.dst, self.ns, rng,
+                index_b=self.g2l)
             directions.append(DirectionBatch(samples=samples, plan=plan))
-        return ReadyPool(entry=entry, pool=pool, directions=directions, rng=rng)
+        return ReadyPool(entry=entry, pool=pool, directions=directions)
 
 
 class PipelinedExecutor:

@@ -192,7 +192,7 @@ class LargeGraphTrainer:
         state = GPUState(embedding=embedding, parts=partition.parts,
                          device=self.device, num_bins=p_gpu)
         warp_config = WarpConfig(dim=dim, small_dim_mode=cfg.small_dim_mode)
-        backend = get_backend(cfg.kernel_backend)
+        backend = get_backend("vectorized")
         # One partition-wide global→local lookup array, built once and cached
         # on the partition, replaces the per-kernel-call dict index maps.
         g2l = partition.global_to_local()
@@ -228,19 +228,15 @@ class LargeGraphTrainer:
                     sub[b] = state.submatrix(b) if b != a else sub[a]
                     t_kernel = perf_counter()
                     for direction in ready.directions:
-                        # A prepared launch reads its samples from the plan;
-                        # only an unprepared one needs the expanded pairs.
-                        if direction.plan is None:
-                            pairs, extra = (direction.src, direction.dst), {}
-                        else:
-                            pairs, extra = (None, None), {"plan": direction.plan}
+                        # The plan carries the samples and the pre-drawn
+                        # negatives, so no pairs and no generator are passed.
                         backend.train_pair(
                             partition.parts[direction.from_part],
                             partition.parts[direction.to_part],
                             sub[direction.from_part], sub[direction.to_part],
-                            *pairs, cfg.negative_samples, lr, ready.rng,
+                            None, None, cfg.negative_samples, lr, None,
                             device=self.device, warp_config=warp_config,
-                            index_a=g2l, index_b=g2l, **extra,
+                            plan=direction.plan,
                         )
                     if trace.enabled:
                         trace.add_complete("kernel", perf_counter() - t_kernel,

@@ -3,7 +3,7 @@
 Kernel backends (:data:`repro.gpu.backends.KERNEL_BACKENDS`), host sampler
 backends (:data:`repro.graph.sampler_backends.SAMPLER_BACKENDS`), query
 backends (:data:`repro.query.backends.QUERY_BACKENDS`) and embedding tools
-(:data:`repro.api.registry.TOOLS`) all resolve user-facing names through one
+(:data:`repro.api.registry.TOOLS`) all resolve names through one
 :class:`Registry`, so every layer accepts the same spellings and fails with
 the same error:
 

@@ -1,6 +1,14 @@
-"""Backend selection wired through the trainer, config, pipeline, API and CLI."""
+"""Kernel backends through the trainer and pipeline; layer options through
+the config, API and CLI.
+
+A backend is selected only on :class:`LevelTrainer`: the GOSH pipeline always
+runs the vectorized one, so the end-to-end parity tests swap the reference
+oracle in by patching the embedder's trainer class.
+"""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,8 +29,17 @@ from repro.graph import social_community, stochastic_block_model
 from repro.large import LargeGraphTrainer
 
 #: The GOSH-only layer options; every baseline must refuse each of them.
-LAYER_OPTIONS = {"kernel_backend": "vectorized", "sampler_backend": "vectorized"}
+LAYER_OPTIONS = {"sampler_backend": "vectorized"}
 BASELINES = ("verse", "mile", "graphvite")
+
+
+def embed_with_reference_kernels(graph, cfg):
+    """``embed`` with the GOSH level trainer running the reference backend."""
+    import repro.embedding.gosh as gosh
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gosh, "LevelTrainer", partial(LevelTrainer, backend="reference"))
+        return embed(graph, cfg)
 
 
 class TestLevelTrainerBackend:
@@ -70,23 +87,25 @@ class TestGoshConfigBackend:
         from repro.gpu.backends import DEFAULT_BACKEND
 
         assert DEFAULT_BACKEND == "vectorized"
-        assert NORMAL.kernel_backend == "vectorized"
-        # The reference oracle stays registered for the parity suites.
+        # The reference oracle stays registered for MILE and the parity suites.
         from repro.gpu import available_backends
         assert "reference" in available_backends()
 
     def test_invalid_backend_fails_validation(self):
-        with pytest.raises(ValueError):
-            NORMAL.with_(kernel_backend="warp-speed").validate()
+        """The config selects no kernel: the GOSH trainers always run the
+        vectorized backend, and the dead noise exponent is gone too."""
+        for removed in ("kernel_backend", "negative_power"):
+            with pytest.raises(TypeError, match=removed):
+                NORMAL.with_(**{removed: "reference"})
 
     def test_pipeline_runs_vectorized(self, small_power_graph):
-        cfg = FAST.scaled(0.05, dim=16).with_(kernel_backend="vectorized")
+        cfg = FAST.scaled(0.05, dim=16)
         result = embed(small_power_graph, cfg)
         assert result.embedding.shape == (small_power_graph.num_vertices, 16)
         assert len(result.level_stats) == result.num_levels
 
     def test_pipeline_deterministic_per_backend(self, small_power_graph):
-        cfg = FAST.scaled(0.05, dim=8).with_(kernel_backend="vectorized", seed=11)
+        cfg = FAST.scaled(0.05, dim=8).with_(seed=11)
         a = embed(small_power_graph, cfg).embedding
         b = embed(small_power_graph, cfg).embedding
         assert np.array_equal(a, b)
@@ -97,37 +116,26 @@ class TestGoshConfigBackend:
         The pipeline (coarsening, epoch distribution, sampling) is identical;
         only kernel arithmetic differs.  Per-epoch differences compound
         through the multilevel expansion, so the documented end-to-end bound
-        is looser than the per-kernel one: mean cosine >= 0.9.
+        is looser than the per-kernel one: mean cosine >= 0.9.  The graph
+        trains in memory, so the patched level trainer runs every epoch.
         """
         base = FAST.scaled(0.1, dim=16).with_(seed=7)
-        ref = embed(small_power_graph, base.with_(kernel_backend="reference")).embedding
-        vec = embed(small_power_graph, base.with_(kernel_backend="vectorized")).embedding
+        ref = embed_with_reference_kernels(small_power_graph, base).embedding
+        vec = embed(small_power_graph, base).embedding
+        assert not np.array_equal(ref, vec)
         cos = np.einsum("ij,ij->i", ref, vec) / (
             np.linalg.norm(ref, axis=1) * np.linalg.norm(vec, axis=1) + 1e-12)
         assert cos.mean() >= 0.9
 
 
 class TestLargeGraphBackend:
-    def _run(self, backend):
+    def test_vectorized_pair_backend_runs(self):
         g = social_community(600, intra_degree=6, seed=4)
         device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
         emb = init_embedding(g.num_vertices, 16, 2)
-        cfg = GoshConfig(kernel_backend=backend)
-        stats = LargeGraphTrainer(device, cfg, min_parts=3).train(g, emb, 10)
-        return emb, stats
-
-    def test_vectorized_pair_backend_runs(self):
-        emb, stats = self._run("vectorized")
+        stats = LargeGraphTrainer(device, GoshConfig(), min_parts=3).train(g, emb, 10)
         assert stats.kernels > 0
         assert np.all(np.isfinite(emb))
-
-    def test_backends_agree_on_large_graph_path(self):
-        ref_emb, ref_stats = self._run("reference")
-        vec_emb, vec_stats = self._run("vectorized")
-        assert ref_stats.kernels == vec_stats.kernels
-        assert ref_stats.num_parts == vec_stats.num_parts
-        # identical schedule + host sampling; only kernel arithmetic differs
-        np.testing.assert_allclose(vec_emb, ref_emb, atol=2e-2)
 
     def test_embedder_hands_the_engine_its_own_config(self, monkeypatch):
         """One GoshConfig from embedder to partitioned engine: no copy."""
@@ -150,25 +158,17 @@ class TestLargeGraphBackend:
     def test_routed_from_pipeline(self):
         g = social_community(600, intra_degree=6, seed=4)
         device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
-        cfg = FAST.scaled(0.02, dim=16).with_(kernel_backend="vectorized")
+        cfg = FAST.scaled(0.02, dim=16)
         result = GoshEmbedder(cfg, device=device).embed(g)
         assert result.large_graph_stats
 
 
 class TestApiAndCli:
-    def test_get_tool_accepts_kernel_backend_for_gosh_tools(self):
-        for name in ("gosh-fast", "gosh-normal", "gosh-slow", "gosh-nocoarse"):
-            tool = get_tool(name, dim=8, epoch_scale=0.02, kernel_backend="reference")
-            assert tool.config.kernel_backend == "reference"
-
-    def test_gosh_tool_propagates_backend(self):
-        tool = get_tool("gosh-fast", dim=8, kernel_backend="vectorized")
-        assert tool.config.kernel_backend == "vectorized"
-        assert "vectorized" in tool.describe()
-
     def test_gosh_tool_invalid_backend_raises(self):
-        with pytest.raises(ValueError):
-            get_tool("gosh-fast", dim=8, kernel_backend="warp-speed")
+        """No tool selects a kernel backend: the keyword itself is refused."""
+        for name in ("gosh-fast", "gosh-nocoarse"):
+            with pytest.raises(TypeError, match="kernel_backend"):
+                get_tool(name, dim=8, kernel_backend="reference")
 
     def test_baselines_reject_invalid_backend_names_too(self):
         """The baselines take no layer option, so none (typo or not) passes
@@ -181,46 +181,49 @@ class TestApiAndCli:
                 get_tool(name, dim=8, kernel_backend="vectorised")
 
     def test_describe_uses_canonical_names(self):
-        text = get_tool("gosh-fast", dim=8, kernel_backend="Reference",
-                        sampler_backend="VECTORIZED").describe()
-        assert "reference kernels" in text
-        assert "sampler" not in text
+        text = get_tool("gosh-fast", dim=8, sampler_backend="Reference").describe()
+        assert "reference sampler" in text
+        text = get_tool("gosh-fast", dim=8, sampler_backend="VECTORIZED").describe()
+        assert "sampler" not in text and "kernels" not in text
 
     def test_gosh_tool_embeds_with_vectorized(self, small_power_graph):
-        tool = get_tool("gosh-fast", dim=8, epoch_scale=0.02,
-                        kernel_backend="vectorized")
+        tool = get_tool("gosh-fast", dim=8, epoch_scale=0.02)
         result = tool.embed(small_power_graph)
         assert result.embedding.shape == (small_power_graph.num_vertices, 8)
-
-    def test_cli_kernel_backend_flag(self, tmp_path, capsys):
-        out = tmp_path / "emb.npy"
-        code = main(["embed", "com-amazon", "--config", "fast", "--dim", "8",
-                     "--epoch-scale", "0.02", "--kernel-backend", "vectorized",
-                     "-o", str(out)])
-        assert code == 0
-        assert np.load(out).shape[1] == 8
-        assert "vectorized" in capsys.readouterr().out
 
     def test_cli_layer_flag_on_a_baseline_exits_naming_it(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["embed", "com-amazon", "--tool", "verse",
-                  "--kernel-backend", "reference", "-o", str(tmp_path / "x.npy")])
+                  "--sampler-backend", "reference", "-o", str(tmp_path / "x.npy")])
         message = str(exc.value.code)
-        assert "--kernel-backend" in message and "'verse'" in message
+        assert "--sampler-backend" in message and "'verse'" in message
         assert "\n" not in message
         out = tmp_path / "emb.npy"
         assert main(["embed", "com-amazon", "--tool", "verse", "--dim", "8",
                      "--epoch-scale", "0.02", "-o", str(out)]) == 0
         assert np.load(out).shape[1] == 8
 
-    def test_cli_unknown_kernel_backend_exits(self):
-        with pytest.raises(SystemExit):
-            main(["embed", "com-amazon", "--kernel-backend", "warp-speed"])
+    def test_cli_kernel_backend_flag(self, capsys):
+        """There is no --kernel-backend: argparse rejects it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "com-amazon", "--kernel-backend", "reference"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel-backend" in capsys.readouterr().err
+
+    def test_cli_unknown_kernel_backend_exits(self, capsys):
+        """Neither of the other two tool-option commands takes it either."""
+        from repro.cli import build_parser
+        for command in ("evaluate", "query"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "com-amazon",
+                                           "--kernel-backend", "vectorized"])
+            assert exc.value.code == 2
+            assert "--kernel-backend" in capsys.readouterr().err
 
     def test_cli_parser_default_is_none(self):
         from repro.cli import build_parser
         args = build_parser().parse_args(["embed", "com-dblp"])
-        assert args.kernel_backend is None
+        assert not hasattr(args, "kernel_backend")
 
 
 class TestSamplerBackendIntegration:
@@ -287,8 +290,12 @@ def test_quality_parity_on_sbm():
     rng = np.random.default_rng(1)
     i = rng.integers(0, g.num_vertices, 3000)
     j = rng.integers(0, g.num_vertices, 3000)
-    for backend in ("reference", "vectorized"):
-        emb = embed(g, NORMAL.scaled(0.1, dim=16).with_(kernel_backend=backend)).embedding
+    cfg = NORMAL.scaled(0.1, dim=16)
+    embeddings = {
+        "reference": embed_with_reference_kernels(g, cfg).embedding,
+        "vectorized": embed(g, cfg).embedding,
+    }
+    for backend, emb in embeddings.items():
         dots = np.einsum("ij,ij->i", emb[i], emb[j])
         same = labels[i] == labels[j]
         assert dots[same].mean() > dots[~same].mean(), backend

@@ -109,7 +109,7 @@ class TestSamplePoolCounters:
         counted: produced == consumed, samples summed over what was used."""
         manager = self._manager()
         partition = manager.partition
-        preparer = PoolPreparer(partition, get_backend("reference"),
+        preparer = PoolPreparer(partition, get_backend("vectorized"),
                                 partition.global_to_local(), 2, 0)
         schedule = build_schedule(2, inside_out_order(4))
         with PipelinedExecutor(manager, preparer, schedule, 2) as executor:
