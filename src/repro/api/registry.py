@@ -38,9 +38,8 @@ def get_tool(name: str, **options) -> EmbeddingTool:
     """Instantiate the tool registered under ``name`` (case-insensitive).
 
     Keyword ``options`` are forwarded to the factory; the built-in tools all
-    accept ``dim``, ``epoch_scale``, ``device`` and ``seed``.  Only the GOSH
-    tools accept ``sampler_backend``; a baseline given it raises
-    ``TypeError``.
+    accept ``dim``, ``epoch_scale``, ``device`` and ``seed``; a keyword the
+    tool does not take raises ``TypeError``.
     """
     return TOOLS.factory(name)(**options)
 

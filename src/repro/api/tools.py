@@ -11,12 +11,6 @@ same construction options so the registry can build any of them uniformly:
 * ``device`` — simulated device; ignored by the CPU-only baselines.
 * ``seed`` — RNG seed (``None`` keeps the backend default).
 
-The GOSH tools also take the layer option of
-:class:`~repro.embedding.config.GoshConfig`, ``sampler_backend`` (``None``
-keeps the config's value).  The baselines have their own training loops and
-no partitioned engine, so they do not take it: passing it raises
-``TypeError``.
-
 Importing this module registers the seven built-in tools with
 :data:`~repro.api.registry.TOOLS`, in the presentation order of the Table 6
 suite.
@@ -38,7 +32,6 @@ from ..embedding.gosh import GoshEmbedder
 from ..embedding.verse import VerseConfig, verse_embed
 from ..gpu.device import SimulatedDevice
 from ..graph.csr import CSRGraph
-from ..graph.sampler_backends import DEFAULT_SAMPLER_BACKEND, SAMPLER_BACKENDS
 from .cache import HierarchyCache
 from .protocol import ProgressCallback, ProgressEvent
 from .registry import register_tool
@@ -109,12 +102,11 @@ class GoshTool(BaseEmbeddingTool):
     def __init__(self, config: str | GoshConfig = "normal", *,
                  dim: int | None = None, epoch_scale: float = 1.0,
                  device: SimulatedDevice | None = None, seed: int | None = None,
-                 sampler_backend: str | None = None,
                  hierarchy_cache: HierarchyCache | None = None):
         cfg = get_config(config) if isinstance(config, str) else config
-        overrides = {"seed": seed, "sampler_backend": sampler_backend}
-        cfg = cfg.scaled(epoch_scale, dim=dim).with_(
-            **{k: v for k, v in overrides.items() if v is not None})
+        cfg = cfg.scaled(epoch_scale, dim=dim)
+        if seed is not None:
+            cfg = cfg.with_(seed=seed)
         cfg.validate()
         self.config = cfg
         self.device = device
@@ -159,8 +151,6 @@ class GoshTool(BaseEmbeddingTool):
     def describe(self) -> str:
         cfg = self.config
         coarse = ("MultiEdgeCollapse" if cfg.use_coarsening else "no coarsening")
-        sampler = SAMPLER_BACKENDS.canonical(cfg.sampler_backend)
-        sampler = "" if sampler == DEFAULT_SAMPLER_BACKEND else f", {sampler} sampler"
         # Serving observability: when a hierarchy cache is attached (directly
         # or by the EmbeddingService), its behaviour shows up in `tools` /
         # query output instead of being invisible state.
@@ -170,7 +160,7 @@ class GoshTool(BaseEmbeddingTool):
             cache = (f"; hierarchy cache: {s['entries']} entries, "
                      f"{s['hits']} hits, {s['misses']} misses")
         return (f"GOSH {cfg.name}: p={cfg.smoothing_ratio}, lr={cfg.learning_rate}, "
-                f"e={cfg.epochs}, {coarse}{sampler} (GPU, multilevel)"
+                f"e={cfg.epochs}, {coarse} (GPU, multilevel)"
                 f"{cache}")
 
     def prepare(self, graph: CSRGraph) -> None:

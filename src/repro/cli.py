@@ -143,25 +143,12 @@ def _tool_name(args: argparse.Namespace) -> str:
 
 
 def _resolve_tool(args: argparse.Namespace):
-    """Build the requested tool (:func:`_tool_name`) from the registry.
-
-    The GOSH layer flag ``--sampler-backend`` is passed only when set: the
-    baselines do not take it, so setting it on a baseline is a usage error
-    naming the flag.
-    """
-    name = _tool_name(args)
-    layers = ({} if args.sampler_backend is None
-              else {"sampler_backend": args.sampler_backend})
+    """Build the requested tool (:func:`_tool_name`) from the registry."""
     try:
-        return get_tool(name, dim=args.dim, epoch_scale=args.epoch_scale,
-                        device=_make_device(args.device_memory_mb),
-                        seed=args.seed, **layers)
-    except TypeError as exc:
-        if not layers:
-            raise
-        raise SystemExit(f"--sampler-backend: GOSH tools only, not {name!r}") from exc
+        return get_tool(_tool_name(args), dim=args.dim, epoch_scale=args.epoch_scale,
+                        device=_make_device(args.device_memory_mb), seed=args.seed)
     except ValueError as exc:
-        # an unregistered --tool or --sampler-backend name, among others
+        # an unregistered --tool name, among others
         raise SystemExit(str(exc)) from exc
 
 
@@ -341,9 +328,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, seed=args.seed)
     tool = _resolve_tool(args)
     service = _service(args)
-    # The tool is resolved here (to honour --sampler-backend etc.), so wire it
-    # into the service's hierarchy cache ourselves — otherwise the cache
-    # counters printed below could never move on the embed-if-missing path.
+    # Share the service's hierarchy cache, so the cache counters printed
+    # below move on the embed-if-missing path.
     if hasattr(tool, "hierarchy_cache") and tool.hierarchy_cache is None:
         tool.hierarchy_cache = service.hierarchy_cache
     if args.query_file is not None:
@@ -659,14 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(shorthand for --tool gosh-<config>)")
         p.add_argument("--device-memory-mb", type=float, default=None,
                        help="simulated device memory (default: Titan X, 12 GB)")
-        p.add_argument("--sampler-backend", default=None, metavar="NAME",
-                       help="host-side sampler producing the large-graph "
-                            "engine's positive pools: vectorized (whole-part "
-                            "batched, default) | reference (per-vertex loop "
-                            "oracle) | degree_biased (GraphVite-style deg^0.75 "
-                            "hub weighting); third-party backends registered "
-                            "via repro.graph.register_sampler_backend are "
-                            "accepted by name")
 
     def add_store_option(p: argparse.ArgumentParser) -> None:
         p.add_argument("--store-dir", default=DEFAULT_STORE_DIR, metavar="DIR",

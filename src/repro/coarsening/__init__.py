@@ -22,7 +22,6 @@ from .parallel_collapse import (
     compact_mapping,
     parallel_collapse_once,
     parallel_multi_edge_collapse,
-    simulated_threaded_collapse,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "compact_mapping",
     "parallel_collapse_once",
     "parallel_multi_edge_collapse",
-    "simulated_threaded_collapse",
 ]

@@ -7,34 +7,29 @@ in a final O(|V|) pass.  Coarse-graph construction uses per-thread private
 edge buffers that are merged with a prefix-sum scan.
 
 Hardware substitution: Python threads running the mapping loop serialise on
-the interpreter lock, so real OS threads cannot demonstrate the speedup.  We
-therefore provide two implementations with the *same algorithmic semantics*:
-
-* :func:`parallel_collapse_once` — a fully vectorised NumPy pass that plays
-  the role of the τ-thread version.  Like the threaded original it may
-  produce a slightly different (but equally valid) clustering than the
-  sequential pass, because cluster ownership is decided by priority rather
-  than strict sequential order.  Its speedup over the pure-Python sequential
-  loop on the same machine is what Table 4 measures.
-* :func:`simulated_threaded_collapse` — a deterministic simulation of τ
-  threads with per-entry locks and skip-on-contention semantics, used by the
-  tests to check that the lock protocol yields consistent coarsenings.
+the interpreter lock, so real OS threads cannot demonstrate the speedup.
+:func:`parallel_collapse_once` is instead a fully vectorised NumPy pass that
+plays the role of the τ-thread version.  Like the threaded original it may
+produce a slightly different (but equally valid) clustering than the
+sequential pass, because cluster ownership is decided by priority rather
+than strict sequential order.  Its speedup over the pure-Python sequential
+loop on the same machine is what Table 4 measures.  A deterministic
+simulation of the τ threads' lock protocol lives with the tests
+(``tests/oracles.py``), which check that it yields consistent coarsenings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .multi_edge_collapse import CoarseningResult, coarsen_graph, degree_order, DEFAULT_THRESHOLD
+from .multi_edge_collapse import CoarseningResult, coarsen_graph, DEFAULT_THRESHOLD
 
 __all__ = [
     "parallel_collapse_once",
     "parallel_multi_edge_collapse",
-    "simulated_threaded_collapse",
     "compact_mapping",
 ]
 
@@ -110,58 +105,6 @@ def parallel_collapse_once(graph: CSRGraph, *, hub_rule: bool = True) -> tuple[n
 
     mapping, num_clusters = compact_mapping(leader)
     return mapping, num_clusters
-
-
-def simulated_threaded_collapse(graph: CSRGraph, num_threads: int = 4, *,
-                                hub_rule: bool = True, chunk_size: int = 64,
-                                seed: int = 0) -> tuple[np.ndarray, int]:
-    """Deterministic simulation of the τ-thread lock-per-entry algorithm.
-
-    The vertex order (decreasing degree) is split into chunks that are dealt
-    to ``num_threads`` virtual threads round-robin (the paper's dynamic
-    scheduling with small batches).  Threads take turns executing one vertex
-    at a time; a thread that finds its candidate already mapped (lock held)
-    skips it, exactly like the real implementation.  The result is a valid
-    coarsening whose quality can be compared against the sequential one.
-    """
-    n = graph.num_vertices
-    degrees = graph.degrees
-    delta = graph.num_edges / max(n, 1)
-    order = degree_order(graph)
-    mapping = np.full(n, -1, dtype=np.int64)
-    xadj, adj = graph.xadj, graph.adj
-
-    # Build per-thread work queues (round-robin chunks of the global order).
-    queues: list[list[int]] = [[] for _ in range(max(1, num_threads))]
-    for chunk_start in range(0, n, chunk_size):
-        thread_id = (chunk_start // chunk_size) % max(1, num_threads)
-        queues[thread_id].extend(int(v) for v in order[chunk_start:chunk_start + chunk_size])
-    cursors = [0] * len(queues)
-
-    active = True
-    while active:
-        active = False
-        for t, queue in enumerate(queues):
-            if cursors[t] >= len(queue):
-                continue
-            active = True
-            v = queue[cursors[t]]
-            cursors[t] += 1
-            if mapping[v] != -1:
-                continue
-            #
-
-            mapping[v] = v  # hub-id labelling, compacted later
-            deg_v_ok = degrees[v] <= delta
-            for idx in range(xadj[v], xadj[v + 1]):
-                u = int(adj[idx])
-                if mapping[u] != -1:
-                    continue  # lock held by another (virtual) thread
-                if hub_rule and not (deg_v_ok or degrees[u] <= delta):
-                    continue
-                mapping[u] = v
-    mapping[mapping == -1] = np.flatnonzero(mapping == -1)
-    return compact_mapping(mapping)
 
 
 def parallel_multi_edge_collapse(graph: CSRGraph, *, threshold: int = DEFAULT_THRESHOLD,

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..graph.sampler_backends import get_sampler_backend
-
 __all__ = ["GoshConfig", "FAST", "NORMAL", "SLOW", "NO_COARSE", "get_config", "CONFIGURATIONS"]
 
 
@@ -38,12 +36,6 @@ class GoshConfig:
     * ``coarsening_threshold`` — stop coarsening below this many vertices.
     * ``use_coarsening`` — False reproduces the Gosh-NoCoarse rows.
     * ``small_dim_mode`` — the Section 3.1.1 warp-packing switch.
-    * ``sampler_backend`` — which host-side sampler produces the large-graph
-      engine's positive sample pools: ``"vectorized"`` (whole-part batched,
-      default), ``"reference"`` (per-vertex loop oracle), or
-      ``"degree_biased"`` (GraphVite-style deg^0.75 hub weighting); the two
-      uniform backends draw identical pairs for a fixed seed (see
-      :mod:`repro.graph.sampler_backends`).
     """
 
     name: str = "normal"
@@ -59,7 +51,6 @@ class GoshConfig:
     use_coarsening: bool = True
     use_parallel_coarsening: bool = True
     small_dim_mode: bool = True
-    sampler_backend: str = "vectorized"
     seed: int = 0
     # Large-graph engine knobs (Section 3.3 defaults).
     positive_batch_per_vertex: int = 5   # B
@@ -113,9 +104,6 @@ class GoshConfig:
             raise ValueError("resident_submatrices (P_GPU) must be >= 2")
         if self.resident_sample_pools < 1:
             raise ValueError("resident_sample_pools (S_GPU) must be >= 1")
-        # The registry is the source of truth for valid names and raises
-        # UnknownNameError, a ValueError.
-        get_sampler_backend(self.sampler_backend)
 
 
 #: Table 3 rows.

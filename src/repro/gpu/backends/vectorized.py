@@ -364,7 +364,7 @@ class VectorizedBackend:
                      index_b: np.ndarray | None = None) -> PairPlan:
         """Precompute the value-independent half of one ``train_pair`` call.
 
-        Takes the positives source-major, as the samplers draw them:
+        Takes the positives source-major, as the sampler draws them:
         ``src_rows`` (strictly increasing local rows of ``part_a``) each own
         ``B`` consecutive entries of ``pos_dst`` (global ids in ``part_b``).
         The source side is only checked (:func:`check_rows`, O(n)) — no

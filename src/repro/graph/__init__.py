@@ -16,21 +16,6 @@ from .generators import (
 )
 from .io import load_npz, read_edge_list, read_metis, save_npz, write_edge_list, write_metis
 from .partition import VertexPartition, compute_num_parts, contiguous_partition
-from .sampler_backends import (
-    DEFAULT_SAMPLER_BACKEND,
-    DegreeBiasedSamplerBackend,
-    FilteredAdjacency,
-    FilteredAdjacencyCache,
-    ReferenceSamplerBackend,
-    SamplerBackend,
-    UnknownSamplerBackendError,
-    VectorizedSamplerBackend,
-    available_sampler_backends,
-    build_filtered_adjacency,
-    build_filtered_adjacencies,
-    get_sampler_backend,
-    register_sampler_backend,
-)
 from .samplers import (
     AliasTable,
     NegativeSampler,
@@ -65,19 +50,6 @@ __all__ = [
     "VertexPartition",
     "contiguous_partition",
     "compute_num_parts",
-    "DEFAULT_SAMPLER_BACKEND",
-    "FilteredAdjacency",
-    "FilteredAdjacencyCache",
-    "SamplerBackend",
-    "ReferenceSamplerBackend",
-    "DegreeBiasedSamplerBackend",
-    "VectorizedSamplerBackend",
-    "UnknownSamplerBackendError",
-    "available_sampler_backends",
-    "build_filtered_adjacency",
-    "build_filtered_adjacencies",
-    "get_sampler_backend",
-    "register_sampler_backend",
     "PositiveSampler",
     "NegativeSampler",
     "AliasTable",

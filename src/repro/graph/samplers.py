@@ -4,9 +4,9 @@ GOSH trains with VERSE-style noise-contrastive estimation: for every source
 vertex one *positive* sample is drawn from the similarity distribution
 ``sim_Q`` (here adjacency similarity — a uniformly random neighbour) and
 ``ns`` *negative* samples are drawn from a noise distribution (uniform over
-the vertex set).  Section 3.1 draws both on the GPU; Section 3.3 draws the
-positives on the host for large graphs.  These samplers implement both,
-vectorised over whole epochs.
+the vertex set).  Section 3.1 draws both on the GPU; these samplers do it
+vectorised over whole epochs.  Section 3.3 draws the large-graph engine's
+positives on the host, per part pair: :mod:`repro.large.sample_pool`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import CSRGraph
-from .sampler_backends import SamplerBackend, get_sampler_backend
 
 __all__ = [
     "PositiveSampler",
@@ -133,50 +132,24 @@ class PositiveSampler:
     """Positive-sample stream for a graph.
 
     ``strategy`` selects between the paper's adjacency similarity
-    (``"adjacency"``) and VERSE's PPR walks (``"ppr"``).  ``sampler_backend``
-    selects the part-pair sampling engine (see
-    :mod:`repro.graph.sampler_backends`): ``"reference"`` (per-vertex loop,
-    the oracle), ``"vectorized"`` (whole-part batched, the default), or any
-    registered third-party backend — by name, instance, or ``None`` for the
-    registry default.
+    (``"adjacency"``) and VERSE's PPR walks (``"ppr"``).  The large-graph
+    engine's part-pair pools are drawn by
+    :class:`~repro.large.sample_pool.SamplePoolManager` instead.
     """
 
     def __init__(self, graph: CSRGraph, *, strategy: str = "adjacency",
-                 walk_length: int = 3, seed: int | np.random.Generator | None = 0,
-                 sampler_backend: str | SamplerBackend | None = None):
+                 walk_length: int = 3, seed: int | np.random.Generator | None = 0):
         if strategy not in ("adjacency", "ppr"):
             raise ValueError(f"unknown positive sampling strategy: {strategy!r}")
         self.graph = graph
         self.strategy = strategy
         self.walk_length = walk_length
-        self.backend = get_sampler_backend(sampler_backend)
         self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     def sample(self, sources: np.ndarray) -> np.ndarray:
         if self.strategy == "adjacency":
             return sample_positive_batch(self.graph, sources, self.rng)
         return random_walk_positive_batch(self.graph, sources, self.walk_length, self.rng)
-
-    def sample_pairs_for_part(self, part_a: np.ndarray, part_b_mask: np.ndarray,
-                              count_per_vertex: int) -> tuple[np.ndarray, np.ndarray]:
-        """Host-side positive sampling for the large-graph engine.
-
-        For every vertex in ``part_a`` draw up to ``count_per_vertex``
-        neighbours that fall inside the partner part (``part_b_mask`` is a
-        boolean mask over the whole vertex set).  Vertices without neighbours
-        in the partner part contribute no pairs — the paper's "almost
-        equivalent to B x K epochs" caveat.
-
-        Delegates to the configured sampler backend and expands its
-        source-major ``(rows, dst)`` into flat global pairs
-        ``(np.repeat(part_a[rows], B), dst)``; the uniform backends draw
-        identical pairs from a shared seeded RNG (see
-        :mod:`repro.graph.sampler_backends`).
-        """
-        part_a = np.asarray(part_a, dtype=np.int64)
-        rows, dst = self.backend.sample_rows(self.graph, part_a, part_b_mask,
-                                             count_per_vertex, self.rng)
-        return np.repeat(part_a[rows], int(count_per_vertex)), dst
 
 
 class NegativeSampler:

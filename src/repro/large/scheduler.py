@@ -184,11 +184,9 @@ class LargeGraphTrainer:
         """One attempt over ``schedule`` with the given resident footprint."""
         cfg = self.config
         dim = embedding.shape[1]
-        pools = SamplePoolManager(
-            graph=graph, partition=partition,
-            batch_per_vertex=cfg.positive_batch_per_vertex,
-            seed=cfg.seed, sampler_backend=cfg.sampler_backend,
-        )
+        pools = SamplePoolManager(graph=graph, partition=partition,
+                                  batch_per_vertex=cfg.positive_batch_per_vertex,
+                                  seed=cfg.seed)
         state = GPUState(embedding=embedding, parts=partition.parts,
                          device=self.device, num_bins=p_gpu)
         warp_config = WarpConfig(dim=dim, small_dim_mode=cfg.small_dim_mode)

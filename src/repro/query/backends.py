@@ -1,8 +1,8 @@
 """Query backend layer: swappable top-k implementations over one scorer.
 
-Like the kernel/sampler backend layers (:mod:`repro.gpu.backends` /
-:mod:`repro.graph.sampler_backends`): a small protocol, two built-ins, and
-name-based registration (:data:`QUERY_BACKENDS`) for third parties.
+Like the kernel backend layer (:mod:`repro.gpu.backends`): a small
+protocol, two built-ins, and name-based registration
+(:data:`QUERY_BACKENDS`) for third parties.
 
 * ``"exact"`` — the brute-force oracle: score every row against every query
   in one pass and fully sort each query's score column.  Clarity over speed.

@@ -1,7 +1,6 @@
 """One name -> implementation registry for every pluggable layer.
 
-Kernel backends (:data:`repro.gpu.backends.KERNEL_BACKENDS`), host sampler
-backends (:data:`repro.graph.sampler_backends.SAMPLER_BACKENDS`), query
+Kernel backends (:data:`repro.gpu.backends.KERNEL_BACKENDS`), query
 backends (:data:`repro.query.backends.QUERY_BACKENDS`) and embedding tools
 (:data:`repro.api.registry.TOOLS`) all resolve names through one
 :class:`Registry`, so every layer accepts the same spellings and fails with

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
+from oracles import simulated_threaded_collapse
 from repro.coarsening import (
     compact_mapping,
     heavy_edge_matching_once,
@@ -12,10 +12,9 @@ from repro.coarsening import (
     multi_edge_collapse,
     parallel_collapse_once,
     parallel_multi_edge_collapse,
-    simulated_threaded_collapse,
     structural_equivalence_groups,
 )
-from repro.graph import CSRGraph, powerlaw_cluster, ring, social_community, star
+from repro.graph import CSRGraph, powerlaw_cluster, social_community
 
 
 class TestCompactMapping:

@@ -1,9 +1,12 @@
-"""Kernel backends through the trainer and pipeline; layer options through
-the config, API and CLI.
+"""Kernel backends through the trainer and pipeline; no layer option in the
+config, API or CLI.
 
 A backend is selected only on :class:`LevelTrainer`: the GOSH pipeline always
 runs the vectorized one, so the end-to-end parity tests swap the reference
-oracle in by patching the embedder's trainer class.
+oracle in by patching the embedder's trainer class.  Likewise the
+partitioned engine always draws its pools with ``sample_rows``; the sampler
+parity run swaps the test-side oracle loop in by patching
+``SamplePoolManager._sample_direction``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles import reference_sample_rows
 from repro.api import get_tool
 from repro.cli import main
 from repro.embedding import (
@@ -26,10 +30,8 @@ from repro.embedding import (
 )
 from repro.gpu import DeviceSpec, SimulatedDevice, VectorizedBackend, get_backend
 from repro.graph import social_community, stochastic_block_model
-from repro.large import LargeGraphTrainer
+from repro.large import LargeGraphTrainer, PoolDirection, SamplePoolManager
 
-#: The GOSH-only layer options; every baseline must refuse each of them.
-LAYER_OPTIONS = {"sampler_backend": "vectorized"}
 BASELINES = ("verse", "mile", "graphvite")
 
 
@@ -174,34 +176,19 @@ class TestApiAndCli:
         """The baselines take no layer option, so none (typo or not) passes
         silently and mislabels a benchmark number."""
         for name in BASELINES:
-            for option, value in LAYER_OPTIONS.items():
-                with pytest.raises(TypeError, match=option):
-                    get_tool(name, dim=8, **{option: value})
             with pytest.raises(TypeError, match="kernel_backend"):
                 get_tool(name, dim=8, kernel_backend="vectorised")
 
     def test_describe_uses_canonical_names(self):
-        text = get_tool("gosh-fast", dim=8, sampler_backend="Reference").describe()
-        assert "reference sampler" in text
-        text = get_tool("gosh-fast", dim=8, sampler_backend="VECTORIZED").describe()
+        """With no layer to choose, describe() names neither sampler nor kernels."""
+        text = get_tool("gosh-fast", dim=8).describe()
+        assert text.startswith("GOSH fast:")
         assert "sampler" not in text and "kernels" not in text
 
     def test_gosh_tool_embeds_with_vectorized(self, small_power_graph):
         tool = get_tool("gosh-fast", dim=8, epoch_scale=0.02)
         result = tool.embed(small_power_graph)
         assert result.embedding.shape == (small_power_graph.num_vertices, 8)
-
-    def test_cli_layer_flag_on_a_baseline_exits_naming_it(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["embed", "com-amazon", "--tool", "verse",
-                  "--sampler-backend", "reference", "-o", str(tmp_path / "x.npy")])
-        message = str(exc.value.code)
-        assert "--sampler-backend" in message and "'verse'" in message
-        assert "\n" not in message
-        out = tmp_path / "emb.npy"
-        assert main(["embed", "com-amazon", "--tool", "verse", "--dim", "8",
-                     "--epoch-scale", "0.02", "-o", str(out)]) == 0
-        assert np.load(out).shape[1] == 8
 
     def test_cli_kernel_backend_flag(self, capsys):
         """There is no --kernel-backend: argparse rejects it."""
@@ -227,60 +214,69 @@ class TestApiAndCli:
 
 
 class TestSamplerBackendIntegration:
-    """--sampler-backend wired through config, scheduler, API and CLI."""
+    """One positive sampler: no option selects it, and the partitioned run
+    is bit-identical to one whose pools the oracle loop draws."""
 
     def test_config_default_and_validation(self):
-        assert NORMAL.sampler_backend == "vectorized"
-        with pytest.raises(ValueError):
-            NORMAL.with_(sampler_backend="warp-speed").validate()
+        with pytest.raises(TypeError, match="sampler_backend"):
+            NORMAL.with_(sampler_backend="reference")
+        NORMAL.validate()
 
-    def test_large_graph_path_identical_across_sampler_backends(self):
+    def test_large_graph_path_identical_across_sampler_backends(self, monkeypatch):
         """Sampler parity is exact, so the whole partitioned training run is
-        bit-identical whichever sampler backend produced the pools."""
+        bit-identical when the oracle loop draws every pool direction."""
         g = social_community(600, intra_degree=6, seed=4)
-        embeddings = {}
-        for backend in ("reference", "vectorized"):
+
+        def train():
             device = SimulatedDevice(spec=DeviceSpec(name="nano", memory_bytes=16 * 1024))
             emb = init_embedding(g.num_vertices, 16, 2)
-            cfg = GoshConfig(sampler_backend=backend)
-            stats = LargeGraphTrainer(device, cfg, min_parts=3).train(g, emb, 10)
-            embeddings[backend] = emb
+            stats = LargeGraphTrainer(device, GoshConfig(), min_parts=3).train(g, emb, 10)
             assert stats.positive_samples > 0
-        assert np.array_equal(embeddings["reference"], embeddings["vectorized"])
+            return emb
 
-    def test_get_tool_accepts_sampler_backend_for_gosh_tools(self):
-        for name in ("gosh-fast", "gosh-normal", "gosh-slow", "gosh-nocoarse"):
-            tool = get_tool(name, dim=8, epoch_scale=0.02, sampler_backend="reference")
-            assert tool.config.sampler_backend == "reference"
+        default = train()
+        oracle_draws = []
 
-    def test_gosh_tool_propagates_sampler_backend(self):
-        tool = get_tool("gosh-fast", dim=8, sampler_backend="reference")
-        assert tool.config.sampler_backend == "reference"
-        assert "reference sampler" in tool.describe()
+        def oracle_direction(self, from_part, to_part, rng):
+            part = self.partition.parts[from_part]
+            rows, dst = reference_sample_rows(self.graph, part, self.partition.mask(to_part),
+                                              self.batch_per_vertex, rng)
+            oracle_draws.append(dst.size)
+            return PoolDirection(from_part=from_part, to_part=to_part, vertices=part,
+                                 rows=rows, B=self.batch_per_vertex, dst=dst)
+
+        monkeypatch.setattr(SamplePoolManager, "_sample_direction", oracle_direction)
+        oracle = train()
+        assert sum(oracle_draws) > 0
+        assert np.array_equal(oracle, default)
 
     def test_baselines_reject_invalid_sampler_backend_names(self):
-        for name in BASELINES:
-            with pytest.raises(TypeError, match="sampler_backend"):
-                get_tool(name, dim=8, sampler_backend="vectorised")
+        """No tool, GOSH or baseline, takes a sampler option."""
+        for name in ("gosh-fast", "gosh-nocoarse") + BASELINES:
             with pytest.raises(TypeError, match="sampler_backend"):
                 get_tool(name, dim=8, sampler_backend="vectorized")
 
-    def test_cli_sampler_backend_flag(self, tmp_path):
-        out = tmp_path / "emb.npy"
-        code = main(["embed", "com-amazon", "--config", "fast", "--dim", "8",
-                     "--epoch-scale", "0.02", "--sampler-backend", "reference",
-                     "-o", str(out)])
-        assert code == 0
-        assert np.load(out).shape[1] == 8
+    def test_cli_sampler_backend_flag(self, capsys):
+        """There is no --sampler-backend: argparse rejects it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", "com-amazon", "--sampler-backend", "reference"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sampler-backend" in capsys.readouterr().err
 
-    def test_cli_unknown_sampler_backend_exits(self):
-        with pytest.raises(SystemExit):
-            main(["embed", "com-amazon", "--sampler-backend", "warp-speed"])
+    def test_cli_unknown_sampler_backend_exits(self, capsys):
+        """Neither of the other two tool-option commands takes it either."""
+        from repro.cli import build_parser
+        for command in ("evaluate", "query"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "com-amazon",
+                                           "--sampler-backend", "vectorized"])
+            assert exc.value.code == 2
+            assert "--sampler-backend" in capsys.readouterr().err
 
     def test_cli_parser_default_is_none(self):
         from repro.cli import build_parser
         args = build_parser().parse_args(["embed", "com-dblp"])
-        assert args.sampler_backend is None
+        assert not hasattr(args, "sampler_backend")
 
 
 def test_quality_parity_on_sbm():

@@ -1,12 +1,14 @@
-"""Sampler-backend suite: registry, golden parity, and distribution pins.
+"""Positive-sampler suite: golden parity with the oracle, distribution pins.
 
-The parity tests are the contract of the subsystem: the ``"reference"``
-per-vertex loop and the ``"vectorized"`` whole-part batched sampler must draw
-*identical* ``(src, dst)`` arrays from a shared seeded Generator, because
+The parity tests are the contract of the sampler: ``sample_rows`` over the
+filtered sub-CSR (``"vectorized"``) and the test-side per-vertex loop
+(``"reference"``, :func:`oracles.reference_sample_rows`) must draw
+*identical* ``(rows, dst)`` arrays from equally seeded Generators, because
 both consume one row of ``B`` float64 uniforms per eligible vertex.  The
 distributional tests pin the paper's "almost equivalent to B×K epochs"
-semantics: every dst lands in the partner part, eligible vertices contribute
-exactly ``B`` pairs, and isolated / partner-less vertices contribute none.
+semantics on both: every dst lands in the partner part, eligible vertices
+contribute exactly ``B`` pairs, and isolated / partner-less vertices
+contribute none.
 """
 
 from __future__ import annotations
@@ -14,64 +16,51 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import build_filtered_adjacency, reference_sample_rows, two_way_partition
 from repro.graph import (
     CSRGraph,
-    DEFAULT_SAMPLER_BACKEND,
-    DegreeBiasedSamplerBackend,
-    PositiveSampler,
-    ReferenceSamplerBackend,
-    UnknownSamplerBackendError,
-    VectorizedSamplerBackend,
-    available_sampler_backends,
-    build_filtered_adjacency,
     contiguous_partition,
-    get_sampler_backend,
     powerlaw_cluster,
-    register_sampler_backend,
     ring,
     social_community,
     star,
 )
-from repro.graph.sampler_backends import FilteredAdjacencyCache, pick_indices
+from repro.large.sample_pool import (
+    FilteredAdjacencyCache,
+    build_filtered_adjacencies,
+    pick_indices,
+    sample_rows,
+)
 
-BACKENDS = ("reference", "vectorized")
-#: Every built-in, including the weighted sampler (no reference-parity claim).
-ALL_BACKENDS = BACKENDS + ("degree_biased",)
+#: The oracle loop and the production sampler.
+SAMPLERS = ("reference", "vectorized")
 
 
-def _pair_draw(graph, part_vertices, partner_mask, B, backend, seed=123):
-    sampler = PositiveSampler(graph, seed=seed, sampler_backend=backend)
-    return sampler.sample_pairs_for_part(part_vertices, partner_mask, B)
+def _pair_draw(graph, part_vertices, partner_mask, B, sampler, seed=123):
+    """Flat ``(src, dst)`` pairs drawn by the oracle or by ``sample_rows``."""
+    part_vertices = np.asarray(part_vertices, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    if sampler == "reference":
+        rows, dst = reference_sample_rows(graph, part_vertices, partner_mask, B, rng)
+    else:
+        filtered = build_filtered_adjacency(graph, part_vertices, partner_mask)
+        rows, dst = sample_rows(filtered, B, rng)
+    return np.repeat(part_vertices[rows], B), dst
 
 
-class TestRegistry:
-    def test_builtins_available(self):
-        names = available_sampler_backends()
-        assert "reference" in names and "vectorized" in names
-
-    def test_default_is_vectorized(self):
-        assert DEFAULT_SAMPLER_BACKEND == "vectorized"
-        assert get_sampler_backend(None).name == "vectorized"
-
-    def test_name_lookup_is_cached_singleton(self):
-        assert get_sampler_backend("reference") is get_sampler_backend("reference")
-        assert get_sampler_backend("vectorized") is get_sampler_backend("VECTORIZED")
-
-    def test_instance_passthrough(self):
-        custom = ReferenceSamplerBackend()
-        assert get_sampler_backend(custom) is custom
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(UnknownSamplerBackendError) as exc:
-            get_sampler_backend("warp-speed")
-        assert "warp-speed" in str(exc.value)
-        assert "vectorized" in str(exc.value)
-
-    def test_register_and_replace_guard(self):
-        with pytest.raises(ValueError):
-            register_sampler_backend("reference", ReferenceSamplerBackend)
-        register_sampler_backend("reference", ReferenceSamplerBackend, replace=True)
-        assert isinstance(get_sampler_backend("reference"), ReferenceSamplerBackend)
+def _assert_parity(graph, partition, pairs, B, seed=123):
+    """``sample_rows(cache.get(a, b))`` equals the oracle for every pair, the
+    pairs drawn in order from one Generator per side."""
+    cache = FilteredAdjacencyCache(graph, partition)
+    rng_ref, rng_vec = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = 0
+    for a, b in pairs:
+        rows, dst = reference_sample_rows(graph, partition.parts[a], partition.mask(b),
+                                          B, rng_ref)
+        got_rows, got_dst = sample_rows(cache.get(a, b), B, rng_vec)
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_dst, dst)
+        drawn += dst.shape[0]
+    return drawn
 
 
 class TestFilteredAdjacency:
@@ -79,7 +68,9 @@ class TestFilteredAdjacency:
         part = np.array([0, 1, 4], dtype=np.int64)
         mask = np.zeros(tiny_graph.num_vertices, dtype=bool)
         mask[[2, 3, 5]] = True
-        filt = build_filtered_adjacency(tiny_graph, part, mask)
+        partition = two_way_partition(mask)
+        assert np.array_equal(partition.parts[0], part)
+        filt = FilteredAdjacencyCache(tiny_graph, partition).get(0, 1)
         for i, v in enumerate(part):
             expected = tiny_graph.neighbors(int(v))
             expected = expected[mask[expected]]
@@ -87,14 +78,14 @@ class TestFilteredAdjacency:
             assert np.array_equal(row, expected)
 
     def test_empty_part(self, tiny_graph):
-        filt = build_filtered_adjacency(tiny_graph, np.zeros(0, dtype=np.int64),
-                                        np.ones(tiny_graph.num_vertices, dtype=bool))
+        filt, = build_filtered_adjacencies(tiny_graph, np.zeros(0, dtype=np.int64),
+                                           np.zeros(tiny_graph.num_vertices), 1)
         assert filt.offsets.shape == (1,)
         assert filt.targets.shape == (0,)
 
     def test_part_of_isolated_vertices(self):
         g = CSRGraph.from_edges(5, [(0, 1)])
-        filt = build_filtered_adjacency(g, np.array([2, 3, 4]), np.ones(5, dtype=bool))
+        filt, = build_filtered_adjacencies(g, np.array([2, 3, 4]), np.zeros(5), 1)
         assert np.array_equal(filt.counts, [0, 0, 0])
         assert filt.targets.shape == (0,)
 
@@ -135,18 +126,13 @@ class TestPickIndices:
 
 
 class TestGoldenParity:
-    """reference and vectorized draw identical pairs under a shared seed."""
+    """sample_rows and the oracle draw identical arrays under a shared seed."""
 
     @pytest.mark.parametrize("B", [1, 2, 5, 9])
     def test_identical_arrays_on_community_graph(self, B):
         g = social_community(300, intra_degree=5, seed=3)
         partition = contiguous_partition(g.num_vertices, 3)
-        mask = partition.mask(1)
-        ref = _pair_draw(g, partition.parts[0], mask, B, "reference")
-        vec = _pair_draw(g, partition.parts[0], mask, B, "vectorized")
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
-        assert ref[0].shape[0] > 0
+        assert _assert_parity(g, partition, [(0, 1)], B) > 0
 
     @pytest.mark.parametrize("graph_factory", [
         lambda: powerlaw_cluster(200, m=3, seed=1),
@@ -158,38 +144,22 @@ class TestGoldenParity:
     def test_identical_arrays_across_graph_shapes(self, graph_factory):
         g = graph_factory()
         n = g.num_vertices
-        part_a = np.arange(n // 2, dtype=np.int64)
-        mask = np.zeros(n, dtype=bool)
-        mask[n // 2:] = True
-        ref = _pair_draw(g, part_a, mask, 4, "reference", seed=7)
-        vec = _pair_draw(g, part_a, mask, 4, "vectorized", seed=7)
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
+        partition = two_way_partition(np.arange(n) >= n // 2)
+        _assert_parity(g, partition, [(0, 1)], 4, seed=7)
 
     def test_parity_with_self_pair_mask(self):
         """(V^a, V^a) pools: the partner mask covers the part itself."""
         g = social_community(200, intra_degree=6, seed=0)
         partition = contiguous_partition(g.num_vertices, 4)
-        mask = partition.mask(2)
-        ref = _pair_draw(g, partition.parts[2], mask, 3, "reference")
-        vec = _pair_draw(g, partition.parts[2], mask, 3, "vectorized")
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
+        assert _assert_parity(g, partition, [(2, 2)], 3) > 0
 
     def test_parity_survives_interleaved_calls(self):
         """Pools are drawn from one shared RNG stream across many calls —
         the whole sequence must match, not just a single draw."""
         g = social_community(240, intra_degree=5, seed=2)
         partition = contiguous_partition(g.num_vertices, 4)
-        samplers = {name: PositiveSampler(g, seed=42, sampler_backend=name)
-                    for name in BACKENDS}
-        for a in range(4):
-            for b in range(4):
-                draws = {name: s.sample_pairs_for_part(
-                    partition.parts[a], partition.mask(b), 2)
-                    for name, s in samplers.items()}
-                assert np.array_equal(draws["reference"][0], draws["vectorized"][0])
-                assert np.array_equal(draws["reference"][1], draws["vectorized"][1])
+        _assert_parity(g, partition, [(a, b) for a in range(4) for b in range(4)], 2,
+                       seed=42)
 
 
 class TestDistribution:
@@ -199,26 +169,26 @@ class TestDistribution:
         partition = contiguous_partition(g.num_vertices, 3)
         return g, partition
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_src_in_part_a_dst_in_part_b(self, setup, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_src_in_part_a_dst_in_part_b(self, setup, sampler):
         g, partition = setup
-        src, dst = _pair_draw(g, partition.parts[0], partition.mask(1), 5, backend)
+        src, dst = _pair_draw(g, partition.parts[0], partition.mask(1), 5, sampler)
         assert np.all(partition.part_of[src] == 0)
         assert np.all(partition.part_of[dst] == 1)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_every_pair_is_an_edge(self, setup, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_every_pair_is_an_edge(self, setup, sampler):
         g, partition = setup
-        src, dst = _pair_draw(g, partition.parts[2], partition.mask(0), 3, backend)
+        src, dst = _pair_draw(g, partition.parts[2], partition.mask(0), 3, sampler)
         for s, d in zip(src, dst):
             assert g.has_edge(int(s), int(d))
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_eligible_vertices_contribute_exactly_B(self, setup, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_eligible_vertices_contribute_exactly_B(self, setup, sampler):
         g, partition = setup
         B = 4
         mask = partition.mask(1)
-        src, _ = _pair_draw(g, partition.parts[0], mask, B, backend)
+        src, _ = _pair_draw(g, partition.parts[0], mask, B, sampler)
         counts = np.bincount(src, minlength=g.num_vertices)
         # Every vertex contributes 0 (no partner-part neighbour) or exactly B.
         assert set(np.unique(counts[partition.parts[0]])).issubset({0, B})
@@ -227,38 +197,38 @@ class TestDistribution:
             eligible = bool(nbrs.shape[0]) and bool(mask[nbrs].any())
             assert counts[v] == (B if eligible else 0)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_isolated_vertices_excluded(self, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_isolated_vertices_excluded(self, sampler):
         g = CSRGraph.from_edges(6, [(0, 3), (1, 4)])   # 2 and 5 isolated
         mask = np.zeros(6, dtype=bool)
         mask[3:] = True
-        src, dst = _pair_draw(g, np.array([0, 1, 2]), mask, 3, backend)
+        src, dst = _pair_draw(g, np.array([0, 1, 2]), mask, 3, sampler)
         assert 2 not in src
         assert np.array_equal(np.unique(src), [0, 1])
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_vertex_without_partner_neighbours_excluded(self, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_vertex_without_partner_neighbours_excluded(self, sampler):
         # 0-1 edge stays inside part_a; only 2-3 crosses into the partner.
         g = CSRGraph.from_edges(4, [(0, 1), (2, 3)])
         mask = np.zeros(4, dtype=bool)
         mask[3] = True
-        src, dst = _pair_draw(g, np.array([0, 1, 2]), mask, 2, backend)
+        src, dst = _pair_draw(g, np.array([0, 1, 2]), mask, 2, sampler)
         assert np.array_equal(np.unique(src), [2])
         assert np.all(dst == 3)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_empty_part_returns_empty_int64(self, setup, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_empty_part_returns_empty_int64(self, setup, sampler):
         g, partition = setup
         src, dst = _pair_draw(g, np.zeros(0, dtype=np.int64), partition.mask(0),
-                              5, backend)
+                              5, sampler)
         assert src.shape == dst.shape == (0,)
         assert src.dtype == dst.dtype == np.int64
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_empty_mask_returns_empty(self, setup, backend):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_empty_mask_returns_empty(self, setup, sampler):
         g, partition = setup
         src, dst = _pair_draw(g, partition.parts[0],
-                              np.zeros(g.num_vertices, dtype=bool), 5, backend)
+                              np.zeros(g.num_vertices, dtype=bool), 5, sampler)
         assert src.shape == dst.shape == (0,)
 
     def test_vectorized_covers_all_partner_neighbours(self):
@@ -266,92 +236,10 @@ class TestDistribution:
         g = ring(12)
         mask = np.zeros(12, dtype=bool)
         mask[[1, 11]] = True   # both neighbours of vertex 0
-        sampler = PositiveSampler(g, seed=0, sampler_backend="vectorized")
+        filtered = build_filtered_adjacency(g, np.array([0]), mask)
+        rng = np.random.default_rng(0)
         seen = set()
         for _ in range(40):
-            _, dst = sampler.sample_pairs_for_part(np.array([0]), mask, 5)
+            _, dst = sample_rows(filtered, 5, rng)
             seen.update(dst.tolist())
         assert seen == {1, 11}
-
-
-class TestBackendThroughSampler:
-    def test_default_backend_is_registry_default(self, tiny_graph):
-        assert PositiveSampler(tiny_graph).backend.name == DEFAULT_SAMPLER_BACKEND
-
-    def test_instance_injection(self, tiny_graph):
-        backend = VectorizedSamplerBackend()
-        assert PositiveSampler(tiny_graph, sampler_backend=backend).backend is backend
-
-    def test_unknown_backend_name_raises(self, tiny_graph):
-        with pytest.raises(UnknownSamplerBackendError):
-            PositiveSampler(tiny_graph, sampler_backend="warp-speed")
-
-
-class TestDegreeBiased:
-    """GraphVite-style deg^0.75 weighting of positive-neighbour draws."""
-
-    def _hub_leaf_graph(self, hub_fanout=15):
-        # Vertex 0 (the sampled part) has two partner-part neighbours: a hub
-        # (vertex 1, degree 1 + hub_fanout) and a leaf (vertex 2, degree 1).
-        n = 3 + hub_fanout
-        edges = [(0, 1), (0, 2)] + [(1, 3 + i) for i in range(hub_fanout)]
-        return CSRGraph.from_edges(n, edges)
-
-    def test_registered_builtin(self):
-        assert "degree_biased" in available_sampler_backends()
-        backend = get_sampler_backend("degree_biased")
-        assert isinstance(backend, DegreeBiasedSamplerBackend)
-        assert backend.power == 0.75
-        assert backend.uses_filtered_adjacency
-
-    def test_hub_neighbours_oversampled_at_power(self):
-        fanout = 15
-        g = self._hub_leaf_graph(fanout)
-        mask = np.zeros(g.num_vertices, dtype=bool)
-        mask[[1, 2]] = True
-        draws = 4000
-        _, dst = _pair_draw(g, np.array([0]), mask, draws, "degree_biased")
-        hub, leaf = int((dst == 1).sum()), int((dst == 2).sum())
-        assert hub + leaf == draws
-        expected = (1 + fanout) ** 0.75          # deg(hub)^0.75 / deg(leaf)^0.75
-        assert hub / max(leaf, 1) == pytest.approx(expected, rel=0.25)
-
-    def test_uniform_backend_has_no_such_bias(self):
-        """Control: the uniform sampler splits the same pair evenly."""
-        g = self._hub_leaf_graph(15)
-        mask = np.zeros(g.num_vertices, dtype=bool)
-        mask[[1, 2]] = True
-        _, dst = _pair_draw(g, np.array([0]), mask, 4000, "vectorized")
-        hub = int((dst == 1).sum())
-        assert hub / 4000 == pytest.approx(0.5, abs=0.05)
-
-    def test_equal_degrees_reduce_to_uniform_support(self):
-        """On a ring every neighbour has equal degree: both partner
-        neighbours must appear, roughly evenly."""
-        g = ring(12)
-        mask = np.zeros(12, dtype=bool)
-        mask[[1, 11]] = True
-        _, dst = _pair_draw(g, np.array([0]), mask, 2000, "degree_biased")
-        share = int((dst == 1).sum()) / 2000
-        assert 0.4 < share < 0.6
-
-    def test_samples_remain_valid_edges(self):
-        g = social_community(300, intra_degree=6, seed=4)
-        partition = contiguous_partition(g.num_vertices, 3)
-        src, dst = _pair_draw(g, partition.parts[0], partition.mask(1), 5,
-                              "degree_biased")
-        assert src.shape == dst.shape and src.shape[0] > 0
-        for s, d in zip(src, dst):
-            assert g.has_edge(int(s), int(d))
-        assert np.all(partition.part_of[src] == 0)
-        assert np.all(partition.part_of[dst] == 1)
-
-    def test_custom_power_instance(self):
-        """power=0 degenerates to uniform weighting over the support."""
-        g = self._hub_leaf_graph(15)
-        mask = np.zeros(g.num_vertices, dtype=bool)
-        mask[[1, 2]] = True
-        sampler = PositiveSampler(g, seed=123,
-                                  sampler_backend=DegreeBiasedSamplerBackend(power=0.0))
-        _, dst = sampler.sample_pairs_for_part(np.array([0]), mask, 4000)
-        assert int((dst == 1).sum()) / 4000 == pytest.approx(0.5, abs=0.05)

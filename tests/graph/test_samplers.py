@@ -5,15 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import expand_pairs
 from repro.graph import (
     AliasTable,
     NegativeSampler,
     PositiveSampler,
+    contiguous_partition,
     ring,
     sample_negative_batch,
     sample_positive_batch,
-    star,
 )
+from repro.large import SamplePoolManager
 
 
 class TestPositiveBatch:
@@ -113,12 +115,12 @@ class TestSamplerClasses:
             NegativeSampler(10, power=0.75)
 
     def test_sample_pairs_for_part(self, tiny_graph):
-        sampler = PositiveSampler(tiny_graph, seed=0)
-        part_a = np.array([0, 1])
-        mask = np.zeros(tiny_graph.num_vertices, dtype=bool)
-        mask[[2, 3]] = True
-        src, dst = sampler.sample_pairs_for_part(part_a, mask, count_per_vertex=4)
-        assert src.shape == dst.shape
+        """The large-graph pools: part 0's draws land in part 1 along edges."""
+        partition = contiguous_partition(tiny_graph.num_vertices, 3)   # {0,1} {2,3} {4,5}
+        pool = SamplePoolManager(graph=tiny_graph, partition=partition,
+                                 batch_per_vertex=4, seed=0).build_pool(0, 1)
+        src, dst = expand_pairs(pool.directions[0])
+        assert src.shape == dst.shape == (2 * 4,)   # vertices 0 and 1 both reach part 1
         for s, d in zip(src, dst):
             assert s in (0, 1)
             assert d in (2, 3)

@@ -22,14 +22,14 @@ from repro.large import LargeGraphTrainer
 
 pytestmark = pytest.mark.timeout(120)
 
+#: Keyed by (seed, sampler); every pool is drawn by ``sample_rows``, the
+#: vectorized sampler.
 GOLDEN = {
     (0, "vectorized"): "a637669b818610675121da2d1a8ea84f64506312eed663f6cadd0615fa835285",
-    (0, "degree_biased"): "b1ce15f7519b70d1e9474b0a0933f65e059009bbcba7e00664300a5bbb469624",
     (7, "vectorized"): "eadd44e92c0dcc7732430baa52daab633e97f67fb9c89999c478dfe3c37989e1",
-    (7, "degree_biased"): "3d654c05cff32e9e2be12008db15d13a1c131689ae7048f024b429d85d60d548",
 }
-#: Two rotations (60 epochs), seed 0, vectorized sampler: the uninterrupted
-#: run and the run resumed at rotation 1 from its checkpoint.
+#: Two rotations (60 epochs), seed 0: the uninterrupted run and the run
+#: resumed at rotation 1 from its checkpoint.
 GOLDEN_TWO_ROTATIONS = "260de2b56954922b012e4382dd9042cb9b46b57d5df1cfbb638cc7d409671fce"
 
 
@@ -38,9 +38,9 @@ def graph():
     return social_community(400, intra_degree=8, seed=1)
 
 
-def _train(graph, embedding, *, epochs, seed=0, sampler_backend="vectorized", **kwargs):
+def _train(graph, embedding, *, epochs, seed=0, **kwargs):
     device = SimulatedDevice(spec=DeviceSpec(name="16kB", memory_bytes=16 * 1024))
-    config = GoshConfig(seed=seed, sampler_backend=sampler_backend)
+    config = GoshConfig(seed=seed)
     return LargeGraphTrainer(device, config).train(graph, embedding, epochs=epochs,
                                                    **kwargs)
 
@@ -49,12 +49,12 @@ def _digest(embedding: np.ndarray) -> str:
     return hashlib.sha256(embedding.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("seed, sampler_backend", sorted(GOLDEN))
-def test_embedding_digest(graph, seed, sampler_backend):
+@pytest.mark.parametrize("seed, sampler", sorted(GOLDEN))
+def test_embedding_digest(graph, seed, sampler):
     emb = init_embedding(graph.num_vertices, 16, 0)
-    stats = _train(graph, emb, epochs=20, seed=seed, sampler_backend=sampler_backend)
+    stats = _train(graph, emb, epochs=20, seed=seed)
     assert stats.num_parts == 6
-    assert _digest(emb) == GOLDEN[seed, sampler_backend]
+    assert _digest(emb) == GOLDEN[seed, sampler]
 
 
 def test_resumed_run_digest(graph):

@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import expand_pairs
 from repro.graph import contiguous_partition, social_community
 from repro.large import SamplePoolManager, inside_out_order
 
@@ -108,8 +109,8 @@ class TestConcurrentProduceConsume:
         _run_workers(builder(0), builder(1))
         assert len(results[0]) == len(results[1]) == 8 * 6
         for p0, p1 in zip(results[0], results[1]):
-            assert np.array_equal(p0.src, p1.src)
-            assert np.array_equal(p0.dst, p1.dst)
+            for got, want in zip(expand_pairs(p0), expand_pairs(p1)):
+                assert np.array_equal(got, want)
 
 
 class TestFilteredCacheUnderConcurrency:
@@ -138,7 +139,7 @@ class TestRotationKeyedPools:
         other_rotation = manager.build_pool(1, 0, rotation=7)
         pool = manager.build_pool(1, 0, rotation=2)
         fresh = _make_manager().build_pool(1, 0, rotation=2)
-        assert np.array_equal(pool.src, fresh.src)
-        assert np.array_equal(pool.dst, fresh.dst)
-        assert not np.array_equal(pool.dst, other_rotation.dst)
+        for got, want in zip(expand_pairs(pool), expand_pairs(fresh)):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(expand_pairs(pool)[1], expand_pairs(other_rotation)[1])
         assert manager.stats()["pools_produced"] == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import expand_pairs, reference_sample_rows
 from repro.graph import contiguous_partition, social_community
 from repro.gpu import DeviceMemoryError, DeviceSpec, SimulatedDevice
 from repro.gpu.backends import get_backend
@@ -17,6 +18,7 @@ from repro.large import (
     count_switches,
     inside_out_order,
     naive_order,
+    pool_rng,
     validate_rotation_cover,
 )
 
@@ -75,7 +77,7 @@ class TestSamplePoolManager:
         graph, partition, manager = setup
         pool = manager.build_pool(1, 0)
         assert pool.num_samples > 0
-        for s, d in zip(pool.src, pool.dst):
+        for s, d in zip(*expand_pairs(pool)):
             assert graph.has_edge(int(s), int(d))
             parts = {int(partition.part_of[s]), int(partition.part_of[d])}
             assert parts.issubset({0, 1})
@@ -83,26 +85,25 @@ class TestSamplePoolManager:
     def test_self_pair_pool(self, setup):
         graph, partition, manager = setup
         pool = manager.build_pool(2, 2)
-        for s, d in zip(pool.src, pool.dst):
+        for s, d in zip(*expand_pairs(pool)):
             assert partition.part_of[s] == 2
             assert partition.part_of[d] == 2
 
     def test_batch_per_vertex_cap(self, setup):
         graph, partition, manager = setup
         pool = manager.build_pool(1, 0)
-        counts = np.bincount(pool.src, minlength=graph.num_vertices)
+        counts = np.bincount(expand_pairs(pool)[0], minlength=graph.num_vertices)
         assert counts.max() <= manager.batch_per_vertex
 
 
 class TestSamplePoolCounters:
     """Production counters and the filtered-adjacency cache."""
 
-    def _manager(self, backend=None, seed=0):
+    def _manager(self, seed=0):
         graph = social_community(200, intra_degree=6, seed=0)
         partition = contiguous_partition(graph.num_vertices, 4)
-        kwargs = {} if backend is None else {"sampler_backend": backend}
         return SamplePoolManager(graph=graph, partition=partition,
-                                 batch_per_vertex=3, seed=seed, **kwargs)
+                                 batch_per_vertex=3, seed=seed)
 
     def test_counters_track_production_and_consumption(self):
         """Every pool an executor hands out was built exactly once and
@@ -118,40 +119,36 @@ class TestSamplePoolCounters:
         assert manager.samples_produced == sum(p.num_samples for p in consumed) > 0
 
     def test_stats_shape(self):
-        manager = self._manager(backend="vectorized")
+        manager = self._manager()
         manager.build_pool(1, 0)
         stats = manager.stats()
+        assert set(stats) == {"pools_produced", "samples_produced", "filtered_cache"}
         assert stats["pools_produced"] == 1
         assert stats["samples_produced"] > 0
-        assert stats["sampler_backend"] == "vectorized"
         # pool (1, 0) samples both directions -> two filtered sub-CSRs built
         assert stats["filtered_cache"]["builds"] == 2
         assert stats["filtered_cache"]["entries"] == 2
 
-    def test_reference_backend_skips_filtered_cache(self):
-        """The oracle walks the graph itself; the manager must not pay for
-        (or hold) filtered sub-CSRs the backend never reads."""
-        manager = self._manager(backend="reference")
-        manager.build_pool(1, 0)
-        cache = manager.stats()["filtered_cache"]
-        assert cache["builds"] == 0 and cache["entries"] == 0
-
     def test_filtered_cache_hits_across_rebuilds(self):
-        manager = self._manager(backend="vectorized")
+        manager = self._manager()
         manager.build_pool(1, 0)
         manager.build_pool(1, 0)
         cache = manager.stats()["filtered_cache"]
         assert cache["builds"] == 2 and cache["hits"] == 2
 
     def test_backend_parity_at_pool_level(self):
-        """Both sampler backends draw identical pools for a fixed seed."""
-        ref = self._manager(backend="reference", seed=11)
-        vec = self._manager(backend="vectorized", seed=11)
+        """Every pool direction equals the oracle loop's draw from the pool's
+        keyed stream, both directions of a pair drawn in order from it."""
+        manager = self._manager(seed=11)
+        graph, partition, B = manager.graph, manager.partition, manager.batch_per_vertex
         for a in range(4):
             for b in range(a + 1):
-                p_ref, p_vec = ref.build_pool(a, b), vec.build_pool(a, b)
-                assert np.array_equal(p_ref.src, p_vec.src)
-                assert np.array_equal(p_ref.dst, p_vec.dst)
+                pool = manager.build_pool(a, b)
+                rng = pool_rng(11, 0, a, b)
+                for d in pool.directions:
+                    rows, dst = reference_sample_rows(graph, partition.parts[d.from_part],
+                                                      partition.mask(d.to_part), B, rng)
+                    assert np.array_equal(d.rows, rows) and np.array_equal(d.dst, dst)
 
 
 class TestGPUState:

@@ -1,11 +1,12 @@
 """Source-major sample pools, from sampler to kernel.
 
-Every sampler backend returns a direction as ``(rows, dst)``: strictly
-increasing local rows of the eligible sources, and ``B`` partner ids per
-row.  The pool keeps that layout, and a prepared pair launch scatters the
-source side with ``scatter_rows`` instead of a plan.  These tests pin that
-the layout changes no bit: the backends agree on it, its expansion equals
-the flat pairs an independent per-vertex loop draws, and a prepared launch
+The sampler returns a direction as ``(rows, dst)``: strictly increasing
+local rows of the eligible sources, and ``B`` partner ids per row.  The
+pool keeps that layout, and a prepared pair launch scatters the source side
+with ``scatter_rows`` instead of a plan.  These tests pin that the layout
+changes no bit: the sampler agrees with the test-side oracle on it, its
+expansion equals the flat pairs an independent per-vertex loop draws, and a
+prepared launch
 (no source plan) trains byte-equal to the unprepared one (source plan) —
 on a diagonal pair too, where ``sub_a is sub_b``.  The work counts pin
 what the layout saves: no source-side plan per launch, and one adjacency
@@ -20,20 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.gpu.backends.vectorized as vectorized
-import repro.graph.sampler_backends as sampler_backends
+import repro.large.sample_pool as sample_pool
+from oracles import build_filtered_adjacency, expand_pairs, reference_sample_rows
 from repro.gpu.backends import get_backend
-from repro.graph import (
-    PositiveSampler,
-    build_filtered_adjacency,
-    build_filtered_adjacencies,
-    contiguous_partition,
-    get_sampler_backend,
-    powerlaw_cluster,
-    social_community,
-    star,
-)
+from repro.graph import contiguous_partition, powerlaw_cluster, social_community, star
 from repro.graph.partition import VertexPartition
-from repro.graph.sampler_backends import pick_indices
 from repro.large import (
     PoolPreparer,
     SamplePoolManager,
@@ -41,6 +33,12 @@ from repro.large import (
     build_schedule,
     inside_out_order,
     kernel_rng,
+)
+from repro.large.sample_pool import (
+    FilteredAdjacencyCache,
+    build_filtered_adjacencies,
+    pick_indices,
+    sample_rows,
 )
 
 pytestmark = pytest.mark.timeout(120)
@@ -78,34 +76,36 @@ class TestSamplerLayout:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     @pytest.mark.parametrize("B", [1, 3, 7])
     def test_backends_agree_on_rows_and_draws(self, graph_name, B):
+        """``sample_rows`` on the cache equals the oracle loop, rows and draws."""
         graph = GRAPHS[graph_name]()
         partition = _shuffled_partition(graph.num_vertices, 3, seed=B)
         a = int(partition.part_of[0])   # vertex 0's part: the star's hub draws
-        part, mask = partition.parts[a], partition.mask((a + 1) % 3)
-        draws = {name: get_sampler_backend(name).sample_rows(
-                     graph, part, mask, B, np.random.default_rng(11))
-                 for name in ("reference", "vectorized", "degree_biased")}
-        rows, dst = draws["reference"]
+        b = (a + 1) % 3
+        part = partition.parts[a]
+        rows, dst = reference_sample_rows(graph, part, partition.mask(b), B,
+                                          np.random.default_rng(11))
         assert rows.size > 0 and dst.size == rows.size * B
         assert (np.diff(rows) > 0).all() and rows[0] >= 0 and rows[-1] < part.size
-        # Rows are the eligible vertices for every backend, degree_biased too.
-        for name in ("vectorized", "degree_biased"):
-            assert np.array_equal(draws[name][0], rows)
-            assert draws[name][1].size == rows.size * B
-        # The uniform backends claim exact parity on the draws as well.
-        assert np.array_equal(draws["vectorized"][1], dst)
+        filtered = FilteredAdjacencyCache(graph, partition).get(a, b)
+        got_rows, got_dst = sample_rows(filtered, B, np.random.default_rng(11))
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_dst, dst)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("sampler", ["reference", "vectorized"])
     @pytest.mark.parametrize("B", [1, 2, 5])
-    def test_expansion_equals_flat_pairs(self, backend, B):
+    def test_expansion_equals_flat_pairs(self, sampler, B):
+        """The oracle's and ``sample_rows``' ``(rows, dst)`` expand to the flat
+        pairs of a loop that never forms rows."""
         graph = GRAPHS["community"]()
         partition = _shuffled_partition(graph.num_vertices, 4, seed=3)
+        cache = FilteredAdjacencyCache(graph, partition)
         for a, b in [(0, 1), (2, 2), (3, 0)]:
             part, mask = partition.parts[a], partition.mask(b)
-            sampler = PositiveSampler(graph, seed=5, sampler_backend=backend)
-            got = sampler.sample_pairs_for_part(part, mask, B)
+            rng = np.random.default_rng(5)
+            rows, dst = (reference_sample_rows(graph, part, mask, B, rng)
+                         if sampler == "reference" else sample_rows(cache.get(a, b), B, rng))
             want = _flat_pairs_oracle(graph, part, mask, B, np.random.default_rng(5))
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(np.repeat(part[rows], B), want[0])
+            assert np.array_equal(dst, want[1])
 
     def test_pool_directions_expand_to_pool_pairs(self):
         graph = GRAPHS["community"]()
@@ -114,9 +114,10 @@ class TestSamplerLayout:
                                  batch_per_vertex=3).build_pool(2, 0)
         ab, ba = pool.directions
         assert (ab.from_part, ab.to_part, ba.from_part, ba.to_part) == (2, 0, 0, 2)
-        assert np.array_equal(pool.src, np.concatenate([ab.src, ba.src]))
-        assert np.array_equal(ab.src, np.repeat(partition.parts[2][ab.rows], 3))
-        assert (partition.part_of[ab.src] == 2).all() and (partition.part_of[ab.dst] == 0).all()
+        ab_src, ab_dst = expand_pairs(ab)
+        assert np.array_equal(expand_pairs(pool)[0], np.concatenate([ab_src, expand_pairs(ba)[0]]))
+        assert np.array_equal(ab_src, np.repeat(partition.parts[2][ab.rows], 3))
+        assert (partition.part_of[ab_src] == 2).all() and (partition.part_of[ab_dst] == 0).all()
         assert pool.num_samples == ab.dst.size + ba.dst.size
         # The pool carries rows and destinations, not a repeated source array.
         assert pool.nbytes() == ab.rows.nbytes + ab.dst.nbytes + ba.rows.nbytes + ba.dst.nbytes
@@ -203,7 +204,7 @@ class TestWorkCounts:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = {"plan_scatter": 0, "gather": 0}
-        real_plan, real_gather = vectorized.plan_scatter, sampler_backends._gather_rows
+        real_plan, real_gather = vectorized.plan_scatter, sample_pool._gather_rows
 
         def plan_scatter(idx):
             calls["plan_scatter"] += 1
@@ -214,7 +215,7 @@ class TestWorkCounts:
             return real_gather(graph, vertices)
 
         monkeypatch.setattr(vectorized, "plan_scatter", plan_scatter)
-        monkeypatch.setattr(sampler_backends, "_gather_rows", gather)
+        monkeypatch.setattr(sample_pool, "_gather_rows", gather)
         return calls
 
     def test_no_source_plan_and_one_pass_per_part(self, counted):

@@ -1,7 +1,7 @@
 """Tracing changes nothing it observes, and costs nothing measurable when off.
 
-A small partitioned training run (4 parts, degree-biased pools, 3
-rotations, pools built on the producer thread):
+A small partitioned training run (4 parts, B = 20 positives per vertex per
+pool, 3 rotations, pools built on the producer thread):
 
 * the embedding is bit-identical with tracing off and on;
 * with tracing off, every site the run crosses is guarded: a proxy put in
@@ -57,8 +57,7 @@ def _train(graph) -> tuple[float, np.ndarray]:
     device = SimulatedDevice(spec=DeviceSpec(
         name="tiny", memory_bytes=max(int(matrix_bytes * 0.9),
                                       3 * (matrix_bytes // NUM_PARTS) + 4096)))
-    cfg = GoshConfig(positive_batch_per_vertex=B, negative_samples=NS,
-                     sampler_backend="degree_biased")
+    cfg = GoshConfig(positive_batch_per_vertex=B, negative_samples=NS)
     t0 = perf_counter()
     LargeGraphTrainer(device, cfg, min_parts=NUM_PARTS).train(
         graph, emb, epochs=B * NUM_PARTS * ROTATIONS)

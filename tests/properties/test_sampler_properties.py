@@ -3,8 +3,9 @@
 Random small graphs and random two-part splits; the invariants are the
 paper's sample-pool contract (Section 3.3): sources come from part A,
 destinations from part B, every pair is an edge, eligible vertices
-contribute exactly ``B`` pairs and ineligible ones none — and the vectorized
-backend agrees bit-for-bit with the reference loop under a shared seed.
+contribute exactly ``B`` pairs and ineligible ones none — and ``sample_rows``
+over the production cache agrees bit-for-bit with the test-side reference
+loop under a shared seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import CSRGraph, PositiveSampler
+from oracles import reference_sample_rows, two_way_partition
+from repro.graph import CSRGraph
+from repro.large.sample_pool import FilteredAdjacencyCache, sample_rows
+
+
+def _draw(graph, mask_b, B, seed):
+    """``sample_rows`` on the production cache's (part A, part B) sub-CSR."""
+    filtered = FilteredAdjacencyCache(graph, two_way_partition(mask_b)).get(0, 1)
+    return sample_rows(filtered, B, np.random.default_rng(seed))
+
+
+def _pairs(part_a, rows, dst, B):
+    return np.repeat(part_a[rows], B), dst
 
 
 @st.composite
@@ -36,8 +49,7 @@ def graph_and_split(draw):
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_membership_and_count_invariants(data, B, seed):
     graph, part_a, mask_b = data
-    sampler = PositiveSampler(graph, seed=seed, sampler_backend="vectorized")
-    src, dst = sampler.sample_pairs_for_part(part_a, mask_b, B)
+    src, dst = _pairs(part_a, *_draw(graph, mask_b, B, seed), B)
 
     assert src.shape == dst.shape
     assert src.dtype == dst.dtype == np.int64
@@ -63,12 +75,10 @@ def test_membership_and_count_invariants(data, B, seed):
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_vectorized_matches_reference_oracle(data, B, seed):
     graph, part_a, mask_b = data
-    draws = {}
-    for backend in ("reference", "vectorized"):
-        sampler = PositiveSampler(graph, seed=seed, sampler_backend=backend)
-        draws[backend] = sampler.sample_pairs_for_part(part_a, mask_b, B)
-    assert np.array_equal(draws["reference"][0], draws["vectorized"][0])
-    assert np.array_equal(draws["reference"][1], draws["vectorized"][1])
+    rows, dst = reference_sample_rows(graph, part_a, mask_b, B, np.random.default_rng(seed))
+    got_rows, got_dst = _draw(graph, mask_b, B, seed)
+    assert np.array_equal(got_rows, rows)
+    assert np.array_equal(got_dst, dst)
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,16 +87,12 @@ def test_vectorized_matches_reference_oracle(data, B, seed):
        seed=st.integers(min_value=0, max_value=2**16))
 def test_empty_part_and_edgeless_graph(B, n, seed):
     graph = CSRGraph.empty(n)
-    sampler = PositiveSampler(graph, seed=seed, sampler_backend="vectorized")
     # Edgeless graph: nothing is eligible no matter the split.
-    src, dst = sampler.sample_pairs_for_part(
-        np.arange(n, dtype=np.int64), np.ones(n, dtype=bool), B)
-    assert src.shape == dst.shape == (0,)
+    rows, dst = _draw(graph, np.arange(n) % 2 == 1, B, seed)
+    assert rows.shape == dst.shape == (0,)
     # Empty part A: no sources to draw for.
-    src, dst = sampler.sample_pairs_for_part(
-        np.zeros(0, dtype=np.int64), np.ones(n, dtype=bool), B)
-    assert src.shape == dst.shape == (0,)
+    rows, dst = _draw(graph, np.ones(n, dtype=bool), B, seed)
+    assert rows.shape == dst.shape == (0,)
     # Empty part B: nothing is eligible.
-    src, dst = sampler.sample_pairs_for_part(
-        np.arange(n, dtype=np.int64), np.zeros(n, dtype=bool), B)
-    assert src.shape == dst.shape == (0,)
+    rows, dst = _draw(graph, np.zeros(n, dtype=bool), B, seed)
+    assert rows.shape == dst.shape == (0,)

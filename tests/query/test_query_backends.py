@@ -1,6 +1,6 @@
 """Golden parity suite: the blocked backend IS the exact oracle, bit for bit.
 
-The acceptance bar for the query layer mirrors the sampler-backend suite:
+The acceptance bar for the query layer mirrors the positive-sampler suite:
 ``"blocked"`` must return identical top-k ids *and* identical float32 score
 bits (with the shared stable tie-break) to the ``"exact"`` brute-force
 oracle, for every metric, any k, and any blocking — including block
@@ -243,7 +243,7 @@ class TestPreparedMatrix:
 
 
 class TestRegistry:
-    """Mirrors the kernel/sampler backend registry contract."""
+    """Mirrors the kernel backend registry contract."""
 
     def test_builtins_registered(self):
         assert available_query_backends()[:2] == ["exact", "blocked"]

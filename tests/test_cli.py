@@ -273,7 +273,6 @@ class TestServeAndLoadCli:
     PINNED_OPTIONS = {
         "query": SERVICE_OPTIONS | {
             (("--device-memory-mb",), "device_memory_mb", None),
-            (("--sampler-backend",), "sampler_backend", None),
             (("--vertex",), "vertex", None),
             (("--query-file",), "query_file", None),
             (("--top-k",), "top_k", 10),

@@ -1,6 +1,6 @@
 """One contract for every name -> implementation registry (:mod:`repro.registry`).
 
-Kernel backends, sampler backends, query backends and tools all resolve
+Kernel backends, query backends and tools all resolve
 names through :class:`repro.registry.Registry`; each gets the same checks
 here, so the layers cannot drift apart again.
 """
@@ -13,8 +13,6 @@ from repro.api import UnknownToolError
 from repro.api.registry import TOOLS
 from repro.gpu import UnknownBackendError
 from repro.gpu.backends import KERNEL_BACKENDS
-from repro.graph import UnknownSamplerBackendError
-from repro.graph.sampler_backends import SAMPLER_BACKENDS
 from repro.query import UnknownQueryBackendError
 from repro.query.backends import QUERY_BACKENDS
 from repro.registry import UnknownNameError
@@ -22,7 +20,6 @@ from repro.registry import UnknownNameError
 #: registry -> (a built-in name, the name None resolves to or None for "no default").
 CASES = {
     "kernel": (KERNEL_BACKENDS, "reference", "vectorized"),
-    "sampler": (SAMPLER_BACKENDS, "degree_biased", "vectorized"),
     "query": (QUERY_BACKENDS, "exact", "blocked"),
     "tool": (TOOLS, "gosh-fast", None),
 }
@@ -42,8 +39,7 @@ def case(request):
 
 
 def test_every_unknown_error_is_one_class():
-    assert {UnknownBackendError, UnknownSamplerBackendError, UnknownQueryBackendError,
-            UnknownToolError} == {UnknownNameError}
+    assert {UnknownBackendError, UnknownQueryBackendError, UnknownToolError} == {UnknownNameError}
     assert issubclass(UnknownNameError, KeyError)
     assert issubclass(UnknownNameError, ValueError)
 
