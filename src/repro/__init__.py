@@ -24,8 +24,8 @@ The package is organised around the paper's own structure:
   shards plus JSON manifests keyed by (graph fingerprint, config hash,
   tool, version), with memory-mapped loads and version GC.
 * :mod:`repro.query` — k-NN similarity serving over stored embeddings:
-  ``QueryEngine`` with pluggable top-k backends (``blocked`` default,
-  ``exact`` oracle).
+  ``QueryEngine`` serving one blocked top-k path, with the ``exact``
+  brute-force oracle behind it for tests.
 * :mod:`repro.faults` — deterministic fault injection: named crossing
   points inside the training/store paths, armable by tests and the
   ``embed --inject-fault`` CLI for crash-recovery drills.

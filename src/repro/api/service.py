@@ -36,7 +36,7 @@ import ctypes
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -113,7 +113,7 @@ class QueryRequest:
 
     Exactly one of ``vertices`` (ids into the stored matrix; ``exclude_self``
     applies) or ``vectors`` (raw ``(d,)``/``(Q, d)`` query vectors) must be
-    set.  ``metric``/``backend`` of ``None`` inherit the service defaults.
+    set.  ``metric`` of ``None`` inherits the service default.
     ``vertex_range`` restricts candidate rows to ``[lo, hi)`` — the sharded
     serving tier's routing primitive; score bits for surviving rows match an
     unranged run exactly.
@@ -125,7 +125,6 @@ class QueryRequest:
     vectors: "np.ndarray | None" = None
     k: int = 10
     metric: str | None = None
-    backend: str | None = None
     exclude_self: bool = True
     config_hash: str | None = None    # pin a specific store lineage
     vertex_range: "tuple[int, int] | None" = None
@@ -176,11 +175,10 @@ class QueryResponse:
 
 @dataclass(frozen=True)
 class _EngineKey:
-    """Identity of a memoised QueryEngine: store version x query settings."""
+    """Identity of a memoised QueryEngine: store version x metric."""
 
     path: str
     metric: str
-    backend: str | None = field(default=None)
 
 
 class EmbeddingService:
@@ -192,8 +190,6 @@ class EmbeddingService:
                  progress: ProgressCallback | None = None,
                  store: "EmbeddingStore | str | os.PathLike | None" = None,
                  metric: str = "cosine",
-                 query_backend: str | None = None,
-                 query_block_rows: int = 4096,
                  engine_cache_entries: int = 8,
                  checkpoint_every_rotations: int | None = None,
                  auto_resume: bool = True):
@@ -208,17 +204,13 @@ class EmbeddingService:
         self.queries_served = 0
         self.microbatches = 0
         self.metric = metric
-        self.query_backend = query_backend
-        self.query_block_rows = query_block_rows
-        # Validate the query knobs eagerly: discovering a bad block size or
-        # metric only after an embed-if-missing has spent minutes training
-        # would waste the whole run.
+        # Validate the query settings eagerly: discovering a bad metric only
+        # after an embed-if-missing has spent minutes training would waste
+        # the whole run.
         from ..query.backends import METRICS
 
         if engine_cache_entries < 1:
             raise ValueError("engine_cache_entries must be >= 1")
-        if query_block_rows < 1:
-            raise ValueError("query_block_rows must be >= 1")
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; options: {', '.join(METRICS)}")
         self.engine_cache_entries = engine_cache_entries
@@ -478,9 +470,9 @@ class EmbeddingService:
         while len(self._entries) > self._ENTRY_MEMO_MAX:
             self._entries.popitem(last=False)
 
-    def _engine_for(self, entry: "StoreEntry", *, metric: str | None,
-                    backend: str | None) -> "QueryEngine":
-        """Memoise one engine per (store version, metric, backend).
+    def _engine_for(self, entry: "StoreEntry", *,
+                    metric: str | None) -> "QueryEngine":
+        """Memoise one engine per (store version, metric).
 
         The matrix is loaded memory-mapped, so engines over large stored
         embeddings cost address space, not resident copies.
@@ -488,14 +480,11 @@ class EmbeddingService:
         from ..query.engine import QueryEngine
 
         store = self._require_store()
-        key = _EngineKey(path=str(entry.path), metric=metric or self.metric,
-                         backend=backend or self.query_backend)
+        key = _EngineKey(path=str(entry.path), metric=metric or self.metric)
         if key not in self._engines:
             self.engine_cache_misses += 1
             loaded = store.load_entry(entry, mmap=True)
-            self._engines[key] = QueryEngine(
-                loaded.embedding, metric=key.metric, backend=key.backend,
-                block_rows=self.query_block_rows)
+            self._engines[key] = QueryEngine(loaded.embedding, metric=key.metric)
         else:
             self.engine_cache_hits += 1
             self._engines.move_to_end(key)
@@ -524,7 +513,6 @@ class EmbeddingService:
               vertices: "np.ndarray | list[int] | int | None" = None,
               vectors: "np.ndarray | None" = None,
               k: int = 10, metric: str | None = None,
-              backend: str | None = None,
               exclude_self: bool = True,
               config_hash: str | None = None,
               vertex_range: "tuple[int, int] | None" = None) -> QueryResponse:
@@ -536,7 +524,7 @@ class EmbeddingService:
         """
         responses = self.query_batch([QueryRequest(
             tool=name, graph=graph, vertices=vertices, vectors=vectors, k=k,
-            metric=metric, backend=backend, exclude_self=exclude_self,
+            metric=metric, exclude_self=exclude_self,
             config_hash=config_hash, vertex_range=vertex_range)])
         return responses[0]
 
@@ -544,8 +532,8 @@ class EmbeddingService:
         """Serve many k-NN requests, microbatching per engine.
 
         Concurrent requests that resolve to the same engine and settings
-        (same graph, tool, metric, backend, k, query kind) are stacked into
-        one backend call — one pass over the matrix answers all of them —
+        (same graph, tool, metric, k, query kind) are stacked into
+        one engine call — one pass over the matrix answers all of them —
         and the answers are scattered back in request order.  Each response's
         ``result.seconds`` is the *shared* wall-clock of its microbatch (the
         requests were answered together; the time is not apportioned).
@@ -571,8 +559,7 @@ class EmbeddingService:
         prepared: list[tuple["StoreEntry", bool, "QueryEngine"]] = []
         for i, request in enumerate(requests):
             entry, store_hit = resolved[i]
-            engine = self._engine_for(entry, metric=request.metric,
-                                      backend=request.backend)
+            engine = self._engine_for(entry, metric=request.metric)
             prepared.append((entry, store_hit, engine))
             by_vertex = request.vertices is not None
             group_key = (id(engine), request.k, by_vertex,
@@ -599,8 +586,7 @@ class EmbeddingService:
                 result = QueryResult(
                     ids=merged.ids[offset:offset + count],
                     scores=merged.scores[offset:offset + count],
-                    metric=merged.metric, backend=merged.backend,
-                    seconds=merged.seconds)
+                    metric=merged.metric, seconds=merged.seconds)
                 entry, store_hit, _ = prepared[i]
                 responses[i] = QueryResponse(result=result, entry=entry,
                                              store_hit=store_hit)
@@ -615,9 +601,9 @@ class EmbeddingService:
     def stats(self) -> dict[str, object]:
         """One coherent serving snapshot across every subsystem the service
         touches: embed counters, the shared hierarchy cache, the store, the
-        engine LRU (hits/misses/evictions), and the cumulative query-backend
-        work.  This is the single read the resident server's ``stats`` verb
-        reports — callers never have to poke the store, engines, and caches
+        engine LRU (hits/misses/evictions), and the cumulative query work.
+        This is the single read the resident server's ``stats`` verb reports
+        — callers never have to poke the store, engines, and caches
         separately.  Taken under the serving lock, so it is consistent with
         concurrent :meth:`query_batch` calls from other threads.
         """

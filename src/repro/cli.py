@@ -56,7 +56,7 @@ from .eval import run_link_prediction
 from .graph import CSRGraph, read_edge_list
 from .gpu import DeviceSpec, SimulatedDevice
 from .harness import dataset_names, load_dataset, paper_table2_rows, print_table
-from .query import METRICS, available_query_backends
+from .query import METRICS
 from .store import EmbeddingStore, StoreError
 
 __all__ = ["main", "build_parser"]
@@ -117,14 +117,13 @@ def _load_graph(source: str, *, seed: int = 0) -> CSRGraph:
 def _service(args: argparse.Namespace) -> EmbeddingService:
     """The :class:`EmbeddingService` the service options describe.
 
-    The service validates the query knobs eagerly, so a bad one fails
+    The service validates the query settings eagerly, so a bad one fails
     here, before an embed-if-missing spends minutes training.
     """
     try:
         return EmbeddingService(
             dim=args.dim, epoch_scale=args.epoch_scale, seed=args.seed,
-            store=args.store_dir, metric=args.metric,
-            query_backend=args.query_backend, query_block_rows=args.block_rows)
+            store=args.store_dir, metric=args.metric)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
 
@@ -316,13 +315,6 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from .query import UnknownQueryBackendError, get_query_backend
-
-    if args.query_backend is not None:
-        try:
-            get_query_backend(args.query_backend)
-        except UnknownQueryBackendError as exc:
-            raise SystemExit(str(exc)) from exc
     if args.top_k < 1:
         raise SystemExit("--top-k must be >= 1")
     graph = _load_graph(args.graph, seed=args.seed)
@@ -337,7 +329,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         # the warm path the resident server relies on: the first request
         # resolves (or embeds) the stored entry and builds the engine, every
         # later entry hits the engine cache, and the whole file still lands
-        # in microbatched backend calls.
+        # in microbatched engine calls.
         from .api import QueryRequest
 
         vectors = np.atleast_2d(np.load(args.query_file))
@@ -362,8 +354,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         rows = [row for label, response in zip(labels, responses)
                 for row in response.result.as_rows([label])]
-    print_table(rows, title=f"top-{args.top_k} by {first.result.metric} "
-                            f"({first.result.backend} backend)")
+    print_table(rows, title=f"top-{args.top_k} by {first.result.metric}")
     _print_serving_stats(service)
     return 0
 
@@ -604,8 +595,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_tools(args: argparse.Namespace) -> int:
     rows = tool_descriptions(dim=args.dim, epoch_scale=args.epoch_scale)
     print_table(rows, title="Registered embedding tools (repro.api registry)")
-    print(f"query backends: {', '.join(available_query_backends())} "
-          f"(metrics: {', '.join(METRICS)})")
     if args.store_dir is not None:
         store = EmbeddingStore(args.store_dir)
         stats = store.stats()
@@ -662,14 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dimension, embed at the tool default if missing")
         p.add_argument("--epoch-scale", type=float, default=1.0)
         p.add_argument("--metric", choices=METRICS, default="cosine")
-        p.add_argument("--query-backend", default=None, metavar="NAME",
-                       help="top-k backend: blocked (chunked matmul, default) "
-                            "| exact (brute-force oracle); third-party "
-                            "backends registered via "
-                            "repro.query.register_query_backend are accepted "
-                            "by name")
-        p.add_argument("--block-rows", type=int, default=4096,
-                       help="rows per scoring block for the blocked backend")
         add_store_option(p)
 
     def add_serving_options(p: argparse.ArgumentParser, *, port: int) -> None:

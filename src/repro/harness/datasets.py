@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..graph.csr import CSRGraph
 from ..graph import generators as gen
 

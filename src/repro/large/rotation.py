@@ -18,8 +18,6 @@ which enumerates (0,0), (1,0), (1,1), (2,0), (2,1), (2,2), ... — all
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["inside_out_order", "naive_order", "count_switches"]
 
 

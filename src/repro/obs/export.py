@@ -300,7 +300,7 @@ def _service_samples(service: Mapping[str, Any]) -> "list[Sample]":
             query, "repro_service_query",
             [("batches", "batches_total", "query-engine batches"),
              ("rows_scored", "rows_scored_total", "candidate rows scored"),
-             ("seconds", "seconds_total", "seconds in query backends")]))
+             ("seconds", "seconds_total", "seconds in query engines")]))
     return samples
 
 

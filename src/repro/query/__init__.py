@@ -6,9 +6,10 @@ answer many small top-k requests cheaply.
 
 * :class:`QueryEngine` — the serving object (:meth:`~QueryEngine.query`,
   :meth:`~QueryEngine.nearest`, counters).
-* :mod:`repro.query.backends` — the pluggable top-k layer mirroring
-  :mod:`repro.gpu.backends`: ``"blocked"`` (chunked float32 matmul, default)
-  and ``"exact"`` (brute-force oracle), bit-identical to each other.
+* :mod:`repro.query.backends` — the top-k layer: every engine serves
+  through :class:`BlockedQueryBackend` (chunked float32 matmul) on a fixed
+  4,096-row grid; :class:`ExactQueryBackend` is the brute-force oracle
+  (``QueryEngine(..., backend="exact")``), bit-identical to it.
 
 Quickstart::
 
@@ -20,32 +21,20 @@ Quickstart::
 """
 
 from .backends import (
-    DEFAULT_QUERY_BACKEND,
     METRICS,
     BlockedQueryBackend,
     ExactQueryBackend,
     PreparedMatrix,
-    QueryBackend,
-    UnknownQueryBackendError,
-    available_query_backends,
-    get_query_backend,
-    register_query_backend,
     resolve_vertex_range,
     topk_by_score,
 )
 from .engine import QueryEngine, QueryResult
 
 __all__ = [
-    "DEFAULT_QUERY_BACKEND",
     "METRICS",
     "BlockedQueryBackend",
     "ExactQueryBackend",
     "PreparedMatrix",
-    "QueryBackend",
-    "UnknownQueryBackendError",
-    "available_query_backends",
-    "get_query_backend",
-    "register_query_backend",
     "resolve_vertex_range",
     "topk_by_score",
     "QueryEngine",

@@ -1,16 +1,14 @@
-"""Query backend layer: swappable top-k implementations over one scorer.
+"""Query top-k layer: the serving path and its oracle over one scorer.
 
-Like the kernel backend layer (:mod:`repro.gpu.backends`): a small
-protocol, two built-ins, and name-based registration
-(:data:`QUERY_BACKENDS`) for third parties.
-
-* ``"exact"`` — the brute-force oracle: score every row against every query
-  in one pass and fully sort each query's score column.  Clarity over speed.
-* ``"blocked"`` — the production path (default): copy scored row blocks into
-  one window buffer of at most :data:`WINDOW_FLOATS` floats, keep only each
+* ``"blocked"`` — the one serving path: copy scored row blocks into one
+  window buffer of at most :data:`WINDOW_FLOATS` floats, keep only each
   window's top-k candidates (plus score ties at the boundary), and merge at
   the end: no ``|V| x Q`` score matrix, no full sorts, and one selection per
   window, not per block (perfbench measures it as ``query.engine_us``).
+* ``"exact"`` — the brute-force oracle: score every row against every query
+  in one pass and fully sort each query's score column.  Clarity over speed;
+  reached through ``QueryEngine(..., backend="exact")`` by tests and
+  perfbench's ``quality`` check.
 
 **Parity is exact.**  Both backends score through the same primitive
 (:meth:`PreparedMatrix.score_block`) over the *same* ``block_rows`` grid —
@@ -27,24 +25,15 @@ pins ids *and* score bits across block sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 import numpy as np
 
-from ..registry import Registry, UnknownNameError
-
 __all__ = [
     "METRICS",
-    "DEFAULT_QUERY_BACKEND",
-    "QUERY_BACKENDS",
     "PreparedMatrix",
-    "QueryBackend",
     "ExactQueryBackend",
     "BlockedQueryBackend",
-    "UnknownQueryBackendError",
-    "register_query_backend",
-    "get_query_backend",
-    "available_query_backends",
     "topk_by_score",
     "resolve_vertex_range",
 ]
@@ -55,8 +44,6 @@ __all__ = [
 #: update kernels optimise — and, being monotone in ``dot``, ranks
 #: identically while returning calibrated (0, 1) scores.
 METRICS = ("dot", "cosine", "sigmoid")
-
-DEFAULT_QUERY_BACKEND = "blocked"
 
 #: Scores one selection window holds at most (4 MiB): consecutive whole
 #: canonical blocks, at least one, so a small microbatch over a shard selects
@@ -172,30 +159,6 @@ def resolve_vertex_range(vertex_range: "tuple[int, int] | None",
     return lo, hi
 
 
-@runtime_checkable
-class QueryBackend(Protocol):
-    """Uniform interface over every top-k implementation."""
-
-    name: str
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        ...
-
-    def topk(self, prepared: PreparedMatrix, queries: np.ndarray, k: int, *,
-             block_rows: int = 4096,
-             vertex_range: "tuple[int, int] | None" = None,
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(ids, scores)``, each ``(Q, k)``, ranked per query.
-
-        ``vertex_range`` restricts the candidate rows to ``[lo, hi)`` (the
-        sharded serving tier's routing primitive) without perturbing score
-        bits: implementations must score the same canonical blocks as the
-        unranged run and only mask the selection.
-        """
-        ...
-
-
 def _scored_windows(prepared: PreparedMatrix, q: np.ndarray,
                     inv_qnorms: np.ndarray | None, block_rows: int, lo: int,
                     hi: int, window_rows: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -241,10 +204,6 @@ class ExactQueryBackend:
 
     name = "exact"
 
-    def describe(self) -> str:
-        return ("exact: full |V|xQ score matrix, full per-query sort "
-                "(brute-force oracle)")
-
     def topk(self, prepared: PreparedMatrix, queries: np.ndarray, k: int, *,
              block_rows: int = 4096,
              vertex_range: "tuple[int, int] | None" = None,
@@ -261,18 +220,21 @@ class ExactQueryBackend:
 
 
 class BlockedQueryBackend:
-    """Chunked float32 matmul with per-window candidate selection (default)."""
+    """Chunked float32 matmul with per-window candidate selection (serving)."""
 
     name = "blocked"
-
-    def describe(self) -> str:
-        return ("blocked: chunked float32 matmul, per-window top-k candidates "
-                "(ties kept), merged per query (default)")
 
     def topk(self, prepared: PreparedMatrix, queries: np.ndarray, k: int, *,
              block_rows: int = 4096,
              vertex_range: "tuple[int, int] | None" = None,
              ) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(ids, scores)``, each ``(Q, k)``, ranked per query.
+
+        ``vertex_range`` restricts the candidate rows to ``[lo, hi)`` (the
+        sharded serving tier's routing primitive) without perturbing score
+        bits: the same canonical blocks as the unranged run are scored and
+        only the selection is masked.
+        """
         q, inv_qnorms = prepared.prepare_queries(queries)
         num_q = len(q)
         lo, hi = resolve_vertex_range(vertex_range, prepared.num_rows)
@@ -305,18 +267,3 @@ class BlockedQueryBackend:
         bounds = np.searchsorted(cols[order], np.arange(num_q + 1))
         sels = (order[bounds[j]:bounds[j + 1]] for j in range(num_q))
         return _ranked(k, ((ids[sel], merged[sel]) for sel in sels))
-
-
-# --------------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------------- #
-QUERY_BACKENDS: Registry[QueryBackend] = Registry(
-    "query backend", {"exact": ExactQueryBackend, "blocked": BlockedQueryBackend},
-    default=DEFAULT_QUERY_BACKEND)
-
-UnknownQueryBackendError = UnknownNameError
-register_query_backend = QUERY_BACKENDS.register
-#: Resolve a name (cached singleton per name), ``None`` (the default) or an
-#: object already implementing the protocol (returned as-is).
-get_query_backend = QUERY_BACKENDS.get
-available_query_backends = QUERY_BACKENDS.names

@@ -8,8 +8,9 @@ view + lazily cached norms) and answers many small top-k requests cheaply:
   excluding the vertex itself (the common "similar items" request).
 * :meth:`stats` — serving counters (queries, rows scored, seconds).
 
-Backends come from the :mod:`repro.query.backends` registry (``"blocked"``
-default, ``"exact"`` oracle); the matrix typically comes straight out of an
+Every engine serves through :class:`~repro.query.backends.BlockedQueryBackend`;
+``backend="exact"`` swaps in the brute-force oracle for tests and quality
+checks.  The matrix typically comes straight out of an
 :class:`~repro.store.EmbeddingStore` entry loaded with ``mmap=True``, in
 which case blocks are paged off disk on first touch and the engine holds no
 second copy.
@@ -24,13 +25,16 @@ import numpy as np
 
 from ..obs import trace
 from .backends import (
+    BlockedQueryBackend,
+    ExactQueryBackend,
     PreparedMatrix,
-    QueryBackend,
-    get_query_backend,
     resolve_vertex_range,
 )
 
 __all__ = ["QueryEngine", "QueryResult"]
+
+#: The serving path and its oracle, bit-identical to each other.
+_BACKENDS = {"blocked": BlockedQueryBackend, "exact": ExactQueryBackend}
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,6 @@ class QueryResult:
     ids: np.ndarray
     scores: np.ndarray
     metric: str
-    backend: str
     seconds: float
 
     @property
@@ -74,12 +77,14 @@ class QueryEngine:
     """Top-k similarity queries over one embedding matrix."""
 
     def __init__(self, embedding: np.ndarray, *, metric: str = "cosine",
-                 backend: "str | QueryBackend | None" = None,
-                 block_rows: int = 4096):
+                 backend: str = "blocked", block_rows: int = 4096):
+        if backend not in _BACKENDS:
+            raise ValueError(f"unknown query backend {backend!r}; "
+                             f"options: {', '.join(_BACKENDS)}")
         if block_rows < 1:
             raise ValueError("block_rows must be >= 1")
         self.prepared = PreparedMatrix(embedding, metric=metric)
-        self.backend = get_query_backend(backend)
+        self.backend = _BACKENDS[backend]()
         self.block_rows = block_rows
         self.queries_served = 0
         self.batches_served = 0
@@ -107,7 +112,6 @@ class QueryEngine:
     # Serving
     # ------------------------------------------------------------------ #
     def query(self, vectors: np.ndarray, k: int = 10, *,
-              backend: "str | QueryBackend | None" = None,
               vertex_range: "tuple[int, int] | None" = None) -> QueryResult:
         """Top-k rows for each query vector (``(d,)`` or ``(Q, d)``).
 
@@ -118,12 +122,12 @@ class QueryEngine:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        resolved = self.backend if backend is None else get_query_backend(backend)
         lo, hi = resolve_vertex_range(vertex_range, self.num_vertices)
         q = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
         t0 = perf_counter()
-        ids, scores = resolved.topk(self.prepared, q, k, block_rows=self.block_rows,
-                                    vertex_range=vertex_range)
+        ids, scores = self.backend.topk(self.prepared, q, k,
+                                        block_rows=self.block_rows,
+                                        vertex_range=vertex_range)
         seconds = perf_counter() - t0
         self.queries_served += q.shape[0]
         self.batches_served += 1
@@ -132,13 +136,12 @@ class QueryEngine:
         if trace.enabled:
             trace.add_complete("engine.query", seconds,
                                queries=int(q.shape[0]), k=int(k),
-                               rows=int(hi - lo), backend=resolved.name)
+                               rows=int(hi - lo), backend=self.backend.name)
         return QueryResult(ids=ids, scores=scores, metric=self.metric,
-                           backend=resolved.name, seconds=seconds)
+                           seconds=seconds)
 
     def nearest(self, vertices: "int | np.ndarray", k: int = 10, *,
                 exclude_self: bool = True,
-                backend: "str | QueryBackend | None" = None,
                 vertex_range: "tuple[int, int] | None" = None) -> QueryResult:
         """Top-k neighbours of stored vertices, queried by id.
 
@@ -157,19 +160,18 @@ class QueryEngine:
                 f"vertex ids must lie in [0, {self.num_vertices}), "
                 f"got range [{idx.min()}, {idx.max()}]")
         if not exclude_self:
-            return self.query(self.prepared.matrix[idx], k, backend=backend,
+            return self.query(self.prepared.matrix[idx], k,
                               vertex_range=vertex_range)
         lo, hi = resolve_vertex_range(vertex_range, self.num_vertices)
         size = hi - lo
         want = min(k, max(size - 1, 0))
         result = self.query(self.prepared.matrix[idx], min(want + 1, size),
-                            backend=backend, vertex_range=vertex_range)
+                            vertex_range=vertex_range)
         # Each row's first `want` ids other than its own vertex, in rank order.
         keep = np.argsort(result.ids == idx[:, None], axis=1, kind="stable")[:, :want]
         return QueryResult(ids=np.take_along_axis(result.ids, keep, 1),
                            scores=np.take_along_axis(result.scores, keep, 1),
-                           metric=result.metric,
-                           backend=result.backend, seconds=result.seconds)
+                           metric=result.metric, seconds=result.seconds)
 
     # ------------------------------------------------------------------ #
     # Observability

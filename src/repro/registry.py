@@ -1,9 +1,9 @@
 """One name -> implementation registry for every pluggable layer.
 
-Kernel backends (:data:`repro.gpu.backends.KERNEL_BACKENDS`), query
-backends (:data:`repro.query.backends.QUERY_BACKENDS`) and embedding tools
-(:data:`repro.api.registry.TOOLS`) all resolve names through one
-:class:`Registry`, so every layer accepts the same spellings and fails with
+Both registries — kernel backends
+(:data:`repro.gpu.backends.KERNEL_BACKENDS`) and embedding tools
+(:data:`repro.api.registry.TOOLS`) — resolve names through one
+:class:`Registry`, so both layers accept the same spellings and fail with
 the same error:
 
 * names are case-insensitive and surrounding whitespace is ignored;

@@ -155,7 +155,7 @@ class ServeClient:
     def query(self, *, vertices: "list[int] | int | None" = None,
               vectors: "list[list[float]] | None" = None, k: int = 10,
               tool: "str | None" = None, graph: "str | None" = None,
-              metric: "str | None" = None, backend: "str | None" = None,
+              metric: "str | None" = None,
               exclude_self: "bool | None" = None,
               vertex_range: "tuple[int, int] | None" = None,
               request_id: Any = None,
@@ -166,7 +166,7 @@ class ServeClient:
         for key, value in (("id", request_id), ("vertices", vertices),
                            ("vectors", vectors), ("tool", tool),
                            ("graph", graph), ("metric", metric),
-                           ("backend", backend), ("exclude_self", exclude_self)):
+                           ("exclude_self", exclude_self)):
             if value is not None:
                 frame[key] = value
         if trace_id is None and trace.enabled:

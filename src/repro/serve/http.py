@@ -7,7 +7,7 @@ binds a second listener on the *same* event loop as an attached
 existing frame schema:
 
 * ``POST /query`` — body is exactly a query frame's JSON (``vertices`` /
-  ``vectors``, ``k``, optional ``tool``/``graph``/``metric``/``backend``/
+  ``vectors``, ``k``, optional ``tool``/``graph``/``metric``/
   ``exclude_self``/``range``); the reply body is the reply frame.
 * ``GET /stats`` — the ``stats`` verb's snapshot.
 * ``GET /metrics`` — the same snapshot rendered in Prometheus text

@@ -121,7 +121,8 @@ def parse_query_request(frame: Mapping[str, Any], *,
     ``graphs`` maps the names the server loaded at startup to graph objects;
     a frame may omit ``graph``/``tool`` when the server has defaults.  All
     validation failures raise :class:`FrameError` with code ``bad-request``
-    so the connection handler can reply instead of dying.
+    so the connection handler can reply instead of dying.  Fields this
+    function does not read are ignored.
     """
     tool = frame.get("tool", default_tool)
     if not isinstance(tool, str) or not tool:
@@ -154,7 +155,6 @@ def parse_query_request(frame: Mapping[str, Any], *,
             raise FrameError("bad-request",
                              "'vertices' must be one id or a non-empty id list")
     metric = frame.get("metric")
-    backend = frame.get("backend")
     exclude_self = frame.get("exclude_self", True)
     if not isinstance(exclude_self, bool):
         raise FrameError("bad-request", "'exclude_self' must be a boolean")
@@ -173,8 +173,7 @@ def parse_query_request(frame: Mapping[str, Any], *,
     try:
         return QueryRequest(tool=tool, graph=graphs[graph_name],
                             vertices=vertices, vectors=vectors, k=k,
-                            metric=metric, backend=backend,
-                            exclude_self=exclude_self,
+                            metric=metric, exclude_self=exclude_self,
                             vertex_range=vertex_range,
                             trace=trace_ctx)
     except ValueError as exc:   # e.g. neither/both of vertices and vectors

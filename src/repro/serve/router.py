@@ -696,8 +696,6 @@ class ShardedBackendService:
                     np.asarray(request.vectors, dtype=np.float32)).tolist()
             if request.metric is not None:
                 frame["metric"] = request.metric
-            if request.backend is not None:
-                frame["backend"] = request.backend
             tctx = getattr(request, "trace", None)
             if tctx is not None:
                 # Forward the trace id; the parent this hop hands down is

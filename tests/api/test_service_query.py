@@ -269,11 +269,15 @@ class TestQuerySettings:
     def test_metric_and_backend_overrides(self, service, small_power_graph):
         cos = service.query("gosh-fast", small_power_graph, vertices=0, k=3)
         dot = service.query("gosh-fast", small_power_graph, vertices=0, k=3,
-                            metric="dot", backend="exact")
-        assert cos.result.metric == "cosine" and cos.result.backend == "blocked"
-        assert dot.result.metric == "dot" and dot.result.backend == "exact"
-        # Distinct settings memoise distinct engines over the same entry.
+                            metric="dot")
+        assert cos.result.metric == "cosine" and dot.result.metric == "dot"
+        # Distinct metrics memoise distinct engines over the same entry.
         assert service.stats()["query_engines"] == 2
+        # The metric is the only per-request query setting: there is one
+        # top-k path, so a backend override is not accepted at all.
+        with pytest.raises(TypeError, match="backend"):
+            service.query("gosh-fast", small_power_graph, vertices=0,
+                          backend="exact")
 
     def test_engines_reused_across_calls(self, service, small_power_graph):
         service.query("gosh-fast", small_power_graph, vertices=0)

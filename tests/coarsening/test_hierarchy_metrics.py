@@ -17,7 +17,7 @@ from repro.coarsening import (
     summarize,
     super_vertex_balance,
 )
-from repro.graph import powerlaw_cluster, star
+from repro.graph import powerlaw_cluster
 
 
 @pytest.fixture

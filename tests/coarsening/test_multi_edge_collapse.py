@@ -11,7 +11,7 @@ from repro.coarsening import (
     degree_order,
     multi_edge_collapse,
 )
-from repro.graph import CSRGraph, powerlaw_cluster, ring, social_community, star
+from repro.graph import CSRGraph, powerlaw_cluster, ring, social_community
 
 
 class TestDegreeOrder:

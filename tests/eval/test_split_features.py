@@ -12,7 +12,7 @@ from repro.eval import (
     sample_negative_edges,
     train_test_split,
 )
-from repro.graph import CSRGraph, powerlaw_cluster
+from repro.graph import CSRGraph
 
 
 class TestTrainTestSplit:

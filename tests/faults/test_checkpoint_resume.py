@@ -20,7 +20,6 @@ from repro.api import get_tool
 from repro.embedding import CheckpointMismatchError, TrainingInterrupted
 from repro.embedding.checkpoint import CHECKPOINT_SUFFIX, latest_checkpoint
 from repro.faults import FAULTS, InjectedFault
-from repro.gpu.device import DeviceMemoryError
 from repro.graph import powerlaw_cluster
 from repro.gpu import DeviceSpec, SimulatedDevice
 from repro.store import EmbeddingStore

@@ -13,8 +13,6 @@ from repro.graph import (
     contiguous_partition,
     degree_histogram,
     largest_component,
-    ring,
-    star,
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import partition_degrees

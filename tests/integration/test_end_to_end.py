@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.baselines import MileConfig, mile_embed
 from repro.coarsening import multi_edge_collapse, parallel_multi_edge_collapse
-from repro.embedding import FAST, NO_COARSE, NORMAL, SLOW, GoshEmbedder, VerseConfig, embed, verse_embed
+from repro.embedding import FAST, NO_COARSE, NORMAL, SLOW, GoshEmbedder, VerseConfig, verse_embed
 from repro.eval import evaluate_embedding, train_test_split
 from repro.gpu import DeviceSpec, SimulatedDevice
 from repro.graph import social_community

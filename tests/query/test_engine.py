@@ -27,15 +27,7 @@ class TestQuery:
         assert (np.diff(result.scores, axis=1) <= 0).all()
         # A stored vector's best match is itself (cosine 1.0).
         assert result.ids[0, 0] == 0
-        assert result.backend == "blocked"
-
-    def test_backend_override_per_call(self, matrix):
-        engine = QueryEngine(matrix, metric="dot")
-        blocked = engine.query(matrix[:2], k=4)
-        exact = engine.query(matrix[:2], k=4, backend="exact")
-        assert exact.backend == "exact"
-        assert (blocked.ids == exact.ids).all()
-        assert (blocked.scores == exact.scores).all()
+        assert engine.backend.name == "blocked"
 
     def test_nearest_excludes_self_by_default(self, matrix):
         engine = QueryEngine(matrix, metric="cosine")
@@ -63,6 +55,9 @@ class TestQuery:
             QueryEngine(matrix, metric="euclid")
         with pytest.raises(ValueError, match="block_rows"):
             QueryEngine(matrix, block_rows=0)
+        with pytest.raises(ValueError, match="faiss") as exc:
+            QueryEngine(matrix, backend="faiss")
+        assert "exact" in str(exc.value) and "blocked" in str(exc.value)
         engine = QueryEngine(matrix)
         with pytest.raises(ValueError, match="k must be"):
             engine.query(matrix[0], k=0)

@@ -17,17 +17,15 @@ import numpy as np
 import pytest
 
 from repro.query import (
-    DEFAULT_QUERY_BACKEND,
     METRICS,
+    BlockedQueryBackend,
+    ExactQueryBackend,
     PreparedMatrix,
-    QueryBackend,
-    UnknownQueryBackendError,
-    available_query_backends,
-    get_query_backend,
-    register_query_backend,
     topk_by_score,
 )
-from repro.query.backends import QUERY_BACKENDS
+
+#: Both top-k implementations, by the name the parametrized tests use.
+BACKENDS = {"exact": ExactQueryBackend, "blocked": BlockedQueryBackend}
 
 
 def golden_matrix(n: int, dim: int, seed: int) -> np.ndarray:
@@ -52,9 +50,9 @@ class TestParity:
         prepared = PreparedMatrix(m, metric=metric)
         queries = np.random.default_rng(5).standard_normal((13, 16)).astype(np.float32)
         for block_rows in (1, 64, 100, 997, 5000):
-            exact_ids, exact_scores = get_query_backend("exact").topk(
+            exact_ids, exact_scores = ExactQueryBackend().topk(
                 prepared, queries, k, block_rows=block_rows)
-            ids, scores = get_query_backend("blocked").topk(
+            ids, scores = BlockedQueryBackend().topk(
                 prepared, queries, k, block_rows=block_rows)
             assert (ids == exact_ids).all(), (metric, k, block_rows)
             assert scores.dtype == exact_scores.dtype == np.float32
@@ -67,10 +65,10 @@ class TestParity:
         m = golden_matrix(997, 16, seed=11)
         prepared = PreparedMatrix(m, metric="cosine")
         queries = np.random.default_rng(8).standard_normal((7, 16)).astype(np.float32)
-        reference_ids, reference_scores = get_query_backend("blocked").topk(
+        reference_ids, reference_scores = BlockedQueryBackend().topk(
             prepared, queries, 10, block_rows=997)
         for block_rows in (33, 128, 4096):
-            ids, scores = get_query_backend("blocked").topk(
+            ids, scores = BlockedQueryBackend().topk(
                 prepared, queries, 10, block_rows=block_rows)
             assert (ids == reference_ids).all(), block_rows
             np.testing.assert_allclose(scores, reference_scores, rtol=1e-5)
@@ -82,7 +80,7 @@ class TestParity:
         prepared = PreparedMatrix(m, metric="cosine")
         query = m[3][None, :]                        # rows 3, 7, 198 tie at 1.0
         for backend in ("exact", "blocked"):
-            ids, scores = get_query_backend(backend).topk(
+            ids, scores = BACKENDS[backend]().topk(
                 prepared, query, 3, block_rows=32)
             assert ids[0].tolist() == [3, 7, 198], backend
             assert scores[0, 0] == scores[0, 1] == scores[0, 2]
@@ -92,15 +90,15 @@ class TestParity:
         prepared = PreparedMatrix(m, metric="dot")
         q = m[:2]
         for backend in ("exact", "blocked"):
-            ids, scores = get_query_backend(backend).topk(prepared, q, 50,
-                                                          block_rows=4)
+            ids, scores = BACKENDS[backend]().topk(prepared, q, 50,
+                                                   block_rows=4)
             assert ids.shape == (2, 9)
             assert sorted(ids[0].tolist()) == list(range(9))
 
     def test_single_query_vector_accepted(self):
         m = golden_matrix(64, 8, seed=1)
         prepared = PreparedMatrix(m, metric="cosine")
-        ids, scores = get_query_backend("blocked").topk(prepared, m[0], 5)
+        ids, scores = BlockedQueryBackend().topk(prepared, m[0], 5)
         assert ids.shape == (1, 5)
 
     def test_sigmoid_is_monotone_in_dot(self):
@@ -108,16 +106,16 @@ class TestParity:
         calibrated (0, 1) scores (the trainer's link-probability model)."""
         m = golden_matrix(300, 8, seed=9)
         q = np.random.default_rng(2).standard_normal((4, 8)).astype(np.float32)
-        dot_ids, _ = get_query_backend("blocked").topk(
+        dot_ids, _ = BlockedQueryBackend().topk(
             PreparedMatrix(m, metric="dot"), q, 10)
-        sig_ids, sig_scores = get_query_backend("blocked").topk(
+        sig_ids, sig_scores = BlockedQueryBackend().topk(
             PreparedMatrix(m, metric="sigmoid"), q, 10)
         assert (dot_ids == sig_ids).all()
         assert ((sig_scores > 0.0) & (sig_scores < 1.0)).all()
 
     def test_cosine_scores_are_normalised(self):
         m = golden_matrix(100, 8, seed=4)
-        ids, scores = get_query_backend("exact").topk(
+        ids, scores = ExactQueryBackend().topk(
             PreparedMatrix(m, metric="cosine"), m[17], 1)
         assert ids[0, 0] == 17
         assert scores[0, 0] == pytest.approx(1.0, abs=1e-6)
@@ -132,9 +130,9 @@ class TestParity:
         m[4:] = np.nan                              # majority-NaN blocks
         prepared = PreparedMatrix(m, metric="dot")
         q = golden_matrix(2, 4, seed=3)
-        exact_ids, exact_scores = get_query_backend("exact").topk(
+        exact_ids, exact_scores = ExactQueryBackend().topk(
             prepared, q, 3, block_rows=block_rows)
-        ids, scores = get_query_backend("blocked").topk(
+        ids, scores = BlockedQueryBackend().topk(
             prepared, q, 3, block_rows=block_rows)
         assert ids.shape == (2, 3)
         assert (ids == exact_ids).all()
@@ -150,7 +148,7 @@ class TestParity:
         prepared = PreparedMatrix(m, metric="cosine")
         zq = np.zeros((1, 8), dtype=np.float32)
         for backend in ("exact", "blocked"):
-            _, scores = get_query_backend(backend).topk(prepared, zq, 40)
+            _, scores = BACKENDS[backend]().topk(prepared, zq, 40)
             assert np.isfinite(scores).all()
             assert (scores == 0.0).all()
 
@@ -171,10 +169,10 @@ class TestVertexRange:
         prepared = PreparedMatrix(m, metric="cosine")
         queries = np.random.default_rng(5).standard_normal((5, 16)).astype(np.float32)
         k = 10
-        full_ids, full_scores = get_query_backend(backend).topk(
+        full_ids, full_scores = BACKENDS[backend]().topk(
             prepared, queries, k, block_rows=block_rows)
         cuts = [0, 300, 601, 997]           # uneven, unaligned with the grid
-        parts = [get_query_backend(backend).topk(
+        parts = [BACKENDS[backend]().topk(
                      prepared, queries, k, block_rows=block_rows,
                      vertex_range=(lo, hi))
                  for lo, hi in zip(cuts, cuts[1:])]
@@ -191,7 +189,7 @@ class TestVertexRange:
         m = golden_matrix(200, 8, seed=3)
         prepared = PreparedMatrix(m, metric="dot")
         q = m[:3]
-        ids, _ = get_query_backend(backend).topk(
+        ids, _ = BACKENDS[backend]().topk(
             prepared, q, 5, block_rows=32, vertex_range=(60, 140))
         assert ((ids >= 60) & (ids < 140)).all()
 
@@ -199,7 +197,7 @@ class TestVertexRange:
     def test_k_clamps_to_the_range_size(self, backend):
         m = golden_matrix(100, 8, seed=4)
         prepared = PreparedMatrix(m, metric="cosine")
-        ids, scores = get_query_backend(backend).topk(
+        ids, scores = BACKENDS[backend]().topk(
             prepared, m[:2], 50, block_rows=16, vertex_range=(10, 20))
         assert ids.shape == scores.shape == (2, 10)
         assert sorted(ids[0].tolist()) == list(range(10, 20))
@@ -210,8 +208,8 @@ class TestVertexRange:
         prepared = PreparedMatrix(m, metric="dot")
         for backend in ("exact", "blocked"):
             with pytest.raises(ValueError, match="range"):
-                get_query_backend(backend).topk(prepared, m[:1], 3,
-                                                vertex_range=bad)
+                BACKENDS[backend]().topk(prepared, m[:1], 3,
+                                         vertex_range=bad)
 
 
 class TestPreparedMatrix:
@@ -241,49 +239,3 @@ class TestPreparedMatrix:
         assert out_ids.tolist() == [2, 9, 5]        # ties: ascending id
         assert out_scores.tolist() == pytest.approx([0.9, 0.9, 0.5])
 
-
-class TestRegistry:
-    """Mirrors the kernel backend registry contract."""
-
-    def test_builtins_registered(self):
-        assert available_query_backends()[:2] == ["exact", "blocked"]
-        assert DEFAULT_QUERY_BACKEND == "blocked"
-
-    def test_default_and_case_insensitive(self):
-        assert get_query_backend(None).name == "blocked"
-        assert get_query_backend("EXACT").name == "exact"
-
-    def test_instances_are_cached_singletons(self):
-        assert get_query_backend("blocked") is get_query_backend("blocked")
-
-    def test_instance_passthrough(self):
-        backend = get_query_backend("exact")
-        assert get_query_backend(backend) is backend
-
-    def test_unknown_name_raises_with_options(self):
-        with pytest.raises(UnknownQueryBackendError, match="faiss"):
-            get_query_backend("faiss")
-        try:
-            get_query_backend("faiss")
-        except UnknownQueryBackendError as exc:
-            assert "exact" in str(exc) and "blocked" in str(exc)
-
-    def test_third_party_registration(self):
-        class MirrorBackend:
-            name = "mirror"
-
-            def describe(self):
-                return "test double"
-
-            def topk(self, prepared, queries, k, *, block_rows=4096):
-                return get_query_backend("exact").topk(prepared, queries, k)
-
-        register_query_backend("mirror", MirrorBackend)
-        try:
-            resolved = get_query_backend("mirror")
-            assert isinstance(resolved, QueryBackend)
-            with pytest.raises(ValueError, match="already registered"):
-                register_query_backend("mirror", MirrorBackend)
-            register_query_backend("mirror", MirrorBackend, replace=True)
-        finally:
-            QUERY_BACKENDS.unregister("mirror")

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.query import METRICS, PreparedMatrix, get_query_backend
+from repro.query import METRICS, BlockedQueryBackend, ExactQueryBackend, PreparedMatrix
 from repro.query import backends
 
 
@@ -65,11 +65,11 @@ def test_blocked_equals_exact_bit_for_bit(case):
     args = dict(block_rows=case["block_rows"], vertex_range=case["vertex_range"])
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(backends, "WINDOW_FLOATS", case["budget"])
-        want_ids, want_scores = get_query_backend("exact").topk(
+        want_ids, want_scores = ExactQueryBackend().topk(
             prepared, case["queries"], case["k"], **args)
-        ids, scores = get_query_backend("blocked").topk(
+        ids, scores = BlockedQueryBackend().topk(
             prepared, case["queries"], case["k"], **args)
-        every_ids, every_scores = get_query_backend("exact").topk(
+        every_ids, every_scores = ExactQueryBackend().topk(
             prepared, case["queries"], len(case["matrix"]),
             block_rows=case["block_rows"])
     assert ids.shape == want_ids.shape and scores.dtype == np.float32
@@ -117,8 +117,8 @@ def counted(monkeypatch):
 
     def run(num_q):
         queries = m[:num_q]
-        get_query_backend("blocked").topk(prepared, queries, 10, block_rows=BLOCK_ROWS,
-                                          vertex_range=(LO, HI))
+        BlockedQueryBackend().topk(prepared, queries, 10, block_rows=BLOCK_ROWS,
+                                   vertex_range=(LO, HI))
         return record
     return run
 

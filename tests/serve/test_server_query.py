@@ -79,6 +79,20 @@ class TestWireAnswers:
                                  metric="cosine")
         assert reply["ids"][0][0] == 4
 
+    def test_a_backend_field_is_ignored_like_any_unknown_field(self, served):
+        """Serving has one top-k path, so a frame's ``backend`` key selects
+        nothing: the reply is the same ids and score bits as without it."""
+        address, _, _ = served
+        frame = {"verb": "query", "vertices": [0, 5], "k": 4}
+        with ServeClient(address) as client:
+            plain = client.request({**frame, "id": 1})
+            named = client.request({**frame, "id": 2, "backend": "faiss"})
+        assert plain["ok"] is True and named["ok"] is True
+        assert named["ids"] == plain["ids"]
+        bits = [np.asarray(r["scores"], dtype=np.float32).view(np.int32)
+                for r in (plain, named)]
+        assert (bits[0] == bits[1]).all()
+
 
 class TestErrorIsolation:
     def test_out_of_range_vertex_is_an_error_reply_not_a_crash(self, served):

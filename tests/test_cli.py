@@ -138,7 +138,7 @@ class TestStoreAndQueryCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "embedded and stored: v0001" in out
-        assert "top-4 by cosine (blocked backend)" in out
+        assert "top-4 by cosine" in out
         # Serving stats are observable — and actually wired: the implicit
         # embed must have gone through the service's hierarchy cache.
         assert "hierarchy cache: 1 entries, 0 hits, 1 misses" in out
@@ -154,24 +154,24 @@ class TestStoreAndQueryCli:
         assert main(args) == 0
         assert "served from store: v0001" in capsys.readouterr().out
 
-    def test_query_with_query_file_and_exact_backend(self, tmp_path, capsys):
+    def test_query_with_query_file_and_dot_metric(self, tmp_path, capsys):
         vectors = np.random.default_rng(0).standard_normal((2, 8)).astype(np.float32)
         qfile = tmp_path / "queries.npy"
         np.save(qfile, vectors)
         code = main(["query", "com-amazon", "--config", "fast", "--dim", "8",
                      "--epoch-scale", "0.02", "--query-file", str(qfile),
-                     "--metric", "dot", "--query-backend", "exact", "--top-k", "2",
+                     "--metric", "dot", "--top-k", "2",
                      "--store-dir", str(tmp_path / "store")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "top-2 by dot (exact backend)" in out
+        assert "top-2 by dot" in out
         assert "q0" in out and "q1" in out
 
     def test_query_file_entries_share_one_warm_service(self, tmp_path, capsys):
         """Each --query-file entry is its own request through ONE service:
         the first builds the engine, the rest hit the engine cache — the
         warm path the resident server relies on — and all of them land in
-        a single microbatched backend call."""
+        a single microbatched engine call."""
         vectors = np.random.default_rng(1).standard_normal((3, 8)).astype(np.float32)
         qfile = tmp_path / "queries.npy"
         np.save(qfile, vectors)
@@ -196,16 +196,8 @@ class TestStoreAndQueryCli:
         out = capsys.readouterr().out
         assert "served from store: v0001" in out
 
-    def test_query_unknown_backend_errors(self, tmp_path):
-        with pytest.raises(SystemExit, match="faiss"):
-            main(["query", "com-amazon", "--query-backend", "faiss",
-                  "--store-dir", str(tmp_path / "store")])
-
     def test_query_bad_knobs_fail_before_embedding(self, tmp_path):
         """Invalid sizes must error out before any training runs."""
-        with pytest.raises(SystemExit, match="block_rows"):
-            main(["query", "com-amazon", "--block-rows", "0",
-                  "--store-dir", str(tmp_path / "store")])
         with pytest.raises(SystemExit, match="top-k"):
             main(["query", "com-amazon", "--top-k", "0",
                   "--store-dir", str(tmp_path / "store")])
@@ -230,11 +222,10 @@ class TestStoreAndQueryCli:
         assert "com-amazon" in out                    # out-of-scope survivor
         assert "com-dblp" not in out
 
-    def test_tools_reports_query_backends_and_store(self, tmp_path, capsys):
+    def test_tools_reports_store(self, tmp_path, capsys):
         self._embed_and_save(tmp_path, capsys)
         assert main(["tools", "--store-dir", str(tmp_path / "store")]) == 0
         out = capsys.readouterr().out
-        assert "query backends: exact, blocked" in out
         assert "store at" in out and "1 entries" in out
 
 
@@ -256,8 +247,6 @@ class TestServeAndLoadCli:
         (("--tool",), "tool", None), (("--config",), "config", "normal"),
         (("--dim",), "dim", None), (("--epoch-scale",), "epoch_scale", 1.0),
         (("--metric",), "metric", "cosine"),
-        (("--query-backend",), "query_backend", None),
-        (("--block-rows",), "block_rows", 4096),
         (("--store-dir",), "store_dir", "embeddings"),
     }
     SERVING_OPTIONS = SERVICE_OPTIONS | {
@@ -302,6 +291,16 @@ class TestServeAndLoadCli:
                    for a in commands.choices[command]._actions
                    if a.dest != "help"}
         assert options == self.PINNED_OPTIONS[command]
+
+    @pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+    @pytest.mark.parametrize("flag", ["--query-backend", "--block-rows"])
+    def test_removed_query_knobs_are_rejected(self, command, flag, capsys):
+        """Serving has one top-k path on a fixed grid: argparse rejects the
+        flags that used to pick a backend or a block size."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "com-amazon", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_load_parser_defaults(self):
         args = build_parser().parse_args(["load", "127.0.0.1:7654"])

@@ -1,8 +1,8 @@
 """One contract for every name -> implementation registry (:mod:`repro.registry`).
 
-Kernel backends, query backends and tools all resolve
-names through :class:`repro.registry.Registry`; each gets the same checks
-here, so the layers cannot drift apart again.
+Kernel backends and tools both resolve names through
+:class:`repro.registry.Registry`; each gets the same checks here, so the
+layers cannot drift apart again.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from repro.api import UnknownToolError
 from repro.api.registry import TOOLS
 from repro.gpu import UnknownBackendError
 from repro.gpu.backends import KERNEL_BACKENDS
-from repro.query import UnknownQueryBackendError
-from repro.query.backends import QUERY_BACKENDS
 from repro.registry import UnknownNameError
 
 #: registry -> (a built-in name, the name None resolves to or None for "no default").
 CASES = {
     "kernel": (KERNEL_BACKENDS, "reference", "vectorized"),
-    "query": (QUERY_BACKENDS, "exact", "blocked"),
     "tool": (TOOLS, "gosh-fast", None),
 }
 
@@ -39,7 +36,7 @@ def case(request):
 
 
 def test_every_unknown_error_is_one_class():
-    assert {UnknownBackendError, UnknownQueryBackendError, UnknownToolError} == {UnknownNameError}
+    assert {UnknownBackendError, UnknownToolError} == {UnknownNameError}
     assert issubclass(UnknownNameError, KeyError)
     assert issubclass(UnknownNameError, ValueError)
 
